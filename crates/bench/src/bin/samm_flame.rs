@@ -6,8 +6,8 @@
 //!
 //! Reads the JSONL span files written by `samm-serve --trace-log` and
 //! `samm-load --trace` (any mix — spans link across files by trace id,
-//! so concatenating the client's file with every node's file yields
-//! complete client→server→forward→engine trees), reassembles each
+//! so concatenating the client's file with every server's file yields
+//! complete client→server→engine trees), reassembles each
 //! trace's parent/child tree, and prints:
 //!
 //! * by default, a **text profile per request kind**: for every `req`
@@ -245,25 +245,22 @@ mod tests {
     }
 
     #[test]
-    fn folds_a_forwarded_request_into_one_stack() {
+    fn folds_a_traced_request_into_one_stack() {
         let t = "00000000000000aa";
         let zero = "0000000000000000";
         let lines = [
             span(t, "01", zero, "client", 1_000_000, Some("enumerate")),
             span(t, "02", "01", "server", 800_000, Some("enumerate")),
-            span(t, "03", "02", "forward", 600_000, None),
-            span(t, "04", "03", "server", 500_000, Some("enumerate")),
-            span(t, "05", "04", "enumerate", 400_000, None),
-            span(t, "06", "05", "phase:closure", 100_000, None),
+            span(t, "03", "02", "enumerate", 400_000, None),
+            span(t, "04", "03", "phase:closure", 100_000, None),
         ];
         let spans: Vec<Span> = lines.iter().map(|l| parse_span(l).unwrap()).collect();
-        assert_eq!(spans.len(), 6);
+        assert_eq!(spans.len(), 4);
         let folded = fold(&spans);
         assert_eq!(folded.traces, 1);
         let collapsed = render_collapsed(&folded);
         assert!(
-            collapsed
-                .contains("enumerate;client;server;forward;server;enumerate;phase:closure 100"),
+            collapsed.contains("enumerate;client;server;enumerate;phase:closure 100"),
             "{collapsed}"
         );
         // client self = 1_000_000 - 800_000 = 200 us.

@@ -28,20 +28,18 @@
 //! every wire request carries a fresh `trace` context plus a derived
 //! request id, and the matching client-side root span is appended to
 //! PATH as JSONL — concatenate it with the servers' `--trace-log`
-//! files and the client/server/forward spans of one request share a
+//! files and the client/server/engine spans of one request share a
 //! trace id. `--bench-json PATH` writes a machine-readable run report
 //! (per-pass throughput and latency quantiles, plus the fresh-vs-hit
 //! microsecond split measured client-side on unbatched runs).
 //!
-//! `--endpoints` takes a comma-separated list of servers (e.g. the
-//! members of a cluster); workers are spread across them round-robin
+//! `--endpoints` takes a comma-separated list of servers (e.g. a set of
+//! independent replicas); workers are spread across them round-robin
 //! and `--shutdown` drains them all. `--batch N` wraps every N
 //! requests in one `{"kind":"batch"}` envelope, so a pass costs
 //! `ceil(requests/N)` round trips instead of `requests`; the reported
 //! latency quantiles are then per *batch*, while throughput and hit
-//! rate still count sub-responses. Responses carrying
-//! `"forwarded":true` (answered by a peer on the owner's behalf) are
-//! tallied and printed as `forwarded responses: N`.
+//! rate still count sub-responses.
 //!
 //! Exits non-zero when any request failed at the protocol or transport
 //! level, so CI can assert a clean run. `--prom` scrapes the server's
@@ -211,7 +209,6 @@ struct PassTally {
     hit: HistogramSnapshot,
     served: u64,
     hits: u64,
-    forwarded: u64,
     errors: u64,
 }
 
@@ -225,7 +222,6 @@ struct PassCounters {
     next: AtomicUsize,
     served: AtomicU64,
     hits: AtomicU64,
-    forwarded: AtomicU64,
     errors: AtomicU64,
     latencies: Histogram,
     fresh: Histogram,
@@ -238,7 +234,6 @@ impl PassCounters {
             next: AtomicUsize::new(0),
             served: AtomicU64::new(0),
             hits: AtomicU64::new(0),
-            forwarded: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             latencies: Histogram::new(),
             fresh: Histogram::new(),
@@ -249,7 +244,7 @@ impl PassCounters {
     /// Tallies one raw response line without building its value tree.
     ///
     /// On the happy path — every slot a success — the tallied fields
-    /// (`ok`, `cache_hit`, `forwarded`) are flat `"name":true` members
+    /// (`ok`, `cache_hit`) are flat `"name":true` members
     /// that never occur inside the string payloads of a success
     /// response, so substring counting is exact and skips the JSON
     /// parse that would otherwise dominate a warm-cache load run.
@@ -265,8 +260,6 @@ impl PassCounters {
                 .fetch_add(slots.max(1) as u64, Ordering::Relaxed);
             let hits = line.matches("\"cache_hit\":true").count() as u64;
             self.hits.fetch_add(hits, Ordering::Relaxed);
-            let forwarded = line.matches("\"forwarded\":true").count() as u64;
-            self.forwarded.fetch_add(forwarded, Ordering::Relaxed);
             return;
         }
         let response = match samm_serve::json::parse(line) {
@@ -306,9 +299,6 @@ impl PassCounters {
         self.served.fetch_add(1, Ordering::Relaxed);
         if response.get("cache_hit").and_then(Json::as_bool) == Some(true) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        if response.get("forwarded").and_then(Json::as_bool) == Some(true) {
-            self.forwarded.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -409,7 +399,6 @@ fn run_pass(
         hit: counters.hit.snapshot(),
         served: counters.served.into_inner(),
         hits: counters.hits.into_inner(),
-        forwarded: counters.forwarded.into_inner(),
         errors: counters.errors.into_inner(),
     }
 }
@@ -503,7 +492,6 @@ fn main() -> ExitCode {
 
     let mut total_errors = 0u64;
     let mut total_hits = 0u64;
-    let mut total_forwarded = 0u64;
     let mut fresh_total = HistogramSnapshot::default();
     let mut hit_total = HistogramSnapshot::default();
     let mut pass_rows = Vec::new();
@@ -555,10 +543,8 @@ fn main() -> ExitCode {
         hit_total.merge(&tally.hit);
         total_errors += tally.errors;
         total_hits += tally.hits;
-        total_forwarded += tally.forwarded;
     }
     println!("total cache hits: {total_hits}");
-    println!("forwarded responses: {total_forwarded}");
     println!("total protocol errors: {total_errors}");
 
     if let Some(path) = &opts.bench_json {
@@ -587,7 +573,6 @@ fn main() -> ExitCode {
             ("fresh_us", lat_us(&fresh_total)),
             ("hit_us", lat_us(&hit_total)),
             ("cache_hits", Json::num(total_hits as f64)),
-            ("forwarded", Json::num(total_forwarded as f64)),
             ("errors", Json::num(total_errors as f64)),
         ]);
         match std::fs::write(path, format!("{report}\n")) {

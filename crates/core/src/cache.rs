@@ -314,17 +314,6 @@ impl EnumCache {
         self.len() == 0
     }
 
-    /// Whether `fp` is resident, without counting a hit/miss or
-    /// refreshing LRU recency — the cluster router's pre-check, which
-    /// must not skew the cache statistics of queries it never answers.
-    pub fn contains(&self, fp: Fingerprint) -> bool {
-        self.shard_of(fp)
-            .lock()
-            .expect("cache shard poisoned")
-            .entries
-            .contains_key(&fp.raw())
-    }
-
     /// Number of shards in this cache's geometry.
     pub fn shard_count(&self) -> usize {
         self.shards.len()

@@ -1,5 +1,5 @@
 //! Distributed tracing spans: dependency-free building blocks for
-//! following one request across threads, processes, and cluster nodes.
+//! following one request across threads and processes.
 //!
 //! A *trace* is a tree of *spans* sharing one 64-bit trace id. Each
 //! span has its own span id, its parent's span id (0 for a root), a
@@ -189,7 +189,7 @@ pub trait SpanSink: Send + Sync + fmt::Debug {
 
 /// Process-unique nonzero ids: a monotone counter mixed through
 /// SplitMix64 with a per-process seed (start time ⊕ pid), so ids are
-/// unique across the cluster without coordination or an RNG
+/// unique across processes without coordination or an RNG
 /// dependency.
 fn next_id() -> u64 {
     static SEED: OnceLock<u64> = OnceLock::new();

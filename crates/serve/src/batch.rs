@@ -6,130 +6,43 @@
 //! the sub-request order. Every slot is independent — a malformed or
 //! failing sub-request yields a structured error object *in its slot*
 //! and its neighbours still execute.
-//!
-//! In cluster mode, enumerate sub-requests owned by a peer are
-//! regrouped into one forwarded sub-batch per owner (the `fwd` marker
-//! prevents re-forwarding) and the peer's answers are spliced back into
-//! their original slots; an unreachable peer degrades that group to
-//! local execution, never to an error.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
-use samm_core::telemetry::trace::{ActiveSpan, SpanKind};
+use samm_core::telemetry::trace::ActiveSpan;
 
-use crate::handler::{find_entry, find_model, handle_sub, ServerState};
+use crate::handler::{handle_sub, ServerState};
 use crate::json::Json;
-use crate::protocol::{Envelope, Request, ServiceError};
+use crate::protocol::{Envelope, ServiceError};
 
-/// Executes a parsed batch. `fwd` marks a batch that already crossed
-/// one cluster hop: its sub-requests are answered locally. `parent_id`
-/// is the batch envelope's effective id — slots without a client id get
-/// a distinct `{parent_id}.{slot}` child id — and `span` the batch's
-/// server span, under which every slot opens its own child.
+/// Executes a parsed batch. `parent_id` is the batch envelope's
+/// effective id — slots without a client id get a distinct
+/// `{parent_id}.{slot}` child id — and `span` the batch's server span,
+/// under which every slot opens its own child.
 pub(crate) fn execute(
     state: &ServerState,
     subs: &[Result<Envelope, ServiceError>],
-    fwd: bool,
     parent_id: &str,
     span: Option<&ActiveSpan>,
 ) -> Json {
     state.telemetry.batch_sizes.record(subs.len() as u64);
     let ctx = span.map(ActiveSpan::context);
-    let mut responses: Vec<Option<Json>> = vec![None; subs.len()];
-
-    // Distinct per-slot ids, echoed in each slot's response: the
-    // client's own id wins, otherwise the slot index under the batch's
-    // id. Forwarded sub-envelopes carry them so peers echo the same id.
-    let slot_ids: Vec<Option<String>> = subs
-        .iter()
-        .enumerate()
-        .map(|(index, slot)| match slot {
-            Ok(env) => Some(
-                env.id
-                    .clone()
-                    .unwrap_or_else(|| format!("{parent_id}.{index}")),
-            ),
-            Err(_) => None,
-        })
-        .collect();
-
-    // Cluster regrouping: collect peer-owned enumerate slots per owner.
-    if let Some(cluster) = state.cluster.as_ref().filter(|_| !fwd) {
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (index, slot) in subs.iter().enumerate() {
-            let Ok(env) = slot else { continue };
-            let Some(fp) = enumerate_fingerprint(state, &env.request) else {
-                continue;
-            };
-            let owner = cluster.owner_of(fp);
-            if cluster.node_id(owner) != cluster.self_id() && !state.cache.contains(fp) {
-                groups.entry(owner).or_default().push(index);
-            }
-        }
-        for (owner, indices) in groups {
-            let mut fwd_span = span.map(|s| s.child("forward", SpanKind::Client));
-            let forwarded = Envelope {
-                id: None,
-                request: Request::Batch(
-                    indices
-                        .iter()
-                        .map(|&i| {
-                            subs[i].clone().map(|mut env| {
-                                env.id.clone_from(&slot_ids[i]);
-                                env
-                            })
-                        })
-                        .collect(),
-                ),
-                fwd: true,
-                trace: fwd_span.as_ref().map(ActiveSpan::context),
-            };
-            let spliced = cluster
-                .forward(owner, &forwarded)
-                .and_then(|reply| splice(&indices, reply, &mut responses));
-            if let Some(fs) = &mut fwd_span {
-                fs.attr("peer", cluster.node_id(owner).to_owned());
-                fs.attr("slots", indices.len() as u64);
-                fs.attr("ok", spliced.is_some());
-            }
-            if let (Some(fs), Some(sink)) = (fwd_span, state.telemetry.span_sink()) {
-                fs.finish(sink);
-            }
-            match spliced {
-                Some(count) => {
-                    for _ in 0..count {
-                        state.telemetry.note_forward(cluster.node_id(owner));
-                        state.telemetry.forward_hops.record(1);
-                    }
-                }
-                None => {
-                    // Transport failure or a malformed peer reply: the
-                    // slots stay unfilled and execute locally below.
-                    state
-                        .telemetry
-                        .forward_fallbacks
-                        .fetch_add(indices.len() as u64, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
     let mut failed = 0u64;
     let rendered: Vec<Json> = subs
         .iter()
-        .zip(responses)
-        .zip(&slot_ids)
-        .map(|((slot, splice_result), slot_id)| {
-            let response = match (slot, splice_result) {
-                (_, Some(spliced)) => spliced,
-                (Ok(env), None) => {
-                    // Slots that already failed one forward attempt run
-                    // locally (`fwd` forced) rather than re-routing.
-                    let id = slot_id.as_deref().expect("ok slots have ids");
-                    handle_sub(state, env, true, id, ctx, parent_id)
+        .enumerate()
+        .map(|(index, slot)| {
+            let response = match slot {
+                Ok(env) => {
+                    // The client's own id wins, otherwise the slot index
+                    // under the batch's id.
+                    let id = env
+                        .id
+                        .clone()
+                        .unwrap_or_else(|| format!("{parent_id}.{index}"));
+                    handle_sub(state, env, &id, ctx, parent_id)
                 }
-                (Err(err), None) => {
+                Err(err) => {
                     state.counters.errors.fetch_add(1, Ordering::Relaxed);
                     err.to_response()
                 }
@@ -148,53 +61,6 @@ pub(crate) fn execute(
         ("failed", Json::num(failed as f64)),
         ("responses", Json::Arr(rendered)),
     ])
-}
-
-/// The cache fingerprint of an enumerate request, when it resolves to a
-/// known test/model. Unresolvable requests return `None` and execute
-/// locally, where they produce their structured error.
-fn enumerate_fingerprint(
-    state: &ServerState,
-    request: &Request,
-) -> Option<samm_core::fingerprint::Fingerprint> {
-    let Request::Enumerate {
-        test,
-        model,
-        budget,
-        ..
-    } = request
-    else {
-        return None;
-    };
-    let entry = find_entry(test).ok()?;
-    let policy = find_model(model).ok()?.policy();
-    let config = state.config(*budget);
-    Some(samm_core::fingerprint::query_fingerprint(
-        &entry.test.program,
-        &policy,
-        &config,
-    ))
-}
-
-/// Splices a peer's batch reply back into the origin slots. Returns the
-/// number of slots filled, or `None` when the reply does not line up
-/// (the caller then falls back to local execution for the whole group).
-fn splice(indices: &[usize], reply: Json, responses: &mut [Option<Json>]) -> Option<usize> {
-    if reply.get("ok").and_then(Json::as_bool) != Some(true) {
-        return None;
-    }
-    let peer_responses = reply.get("responses").and_then(Json::as_arr)?;
-    if peer_responses.len() != indices.len() {
-        return None;
-    }
-    for (&index, peer_response) in indices.iter().zip(peer_responses) {
-        let mut response = peer_response.clone();
-        if let Json::Obj(map) = &mut response {
-            map.insert("forwarded".to_owned(), Json::Bool(true));
-        }
-        responses[index] = Some(response);
-    }
-    Some(indices.len())
 }
 
 #[cfg(test)]

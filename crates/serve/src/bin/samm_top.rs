@@ -1,7 +1,7 @@
 //! `samm-top` — live terminal dashboard for a running `samm-serve`.
 //!
 //! ```text
-//! samm-top [--addr HOST:PORT] [--interval-ms N] [--once] [--cluster]
+//! samm-top [--addr HOST:PORT] [--interval-ms N] [--once]
 //! ```
 //!
 //! Polls the service's `metrics` request on one persistent connection
@@ -11,10 +11,8 @@
 //! rule-application rates. `--once` prints a single snapshot without
 //! clearing the screen — the mode CI uses to smoke-test the pipeline.
 //!
-//! `--cluster` switches the poll to `metrics_cluster`: the addressed
-//! node fans the request out to every ring peer and returns per-node
-//! histogram snapshots plus their exact merge, so the dashboard shows
-//! one fleet-wide latency table instead of a single node's view.
+//! Against a set of replicas, run one `samm-top` per replica: each
+//! dashboard shows that replica's own view.
 //!
 //! The dashboard is std-only: no curses, no external crates. It redraws
 //! with plain ANSI escapes (`ESC[2J` clear, `ESC[H` home), so any VT100
@@ -24,15 +22,13 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use samm_core::telemetry::HistogramSnapshot;
 use samm_serve::client::Client;
 use samm_serve::json::Json;
-use samm_serve::telemetry::snapshot_from_json;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
 fn usage() -> ! {
-    eprintln!("usage: samm-top [--addr HOST:PORT] [--interval-ms N] [--once] [--cluster]");
+    eprintln!("usage: samm-top [--addr HOST:PORT] [--interval-ms N] [--once]");
     std::process::exit(2);
 }
 
@@ -40,7 +36,6 @@ struct Options {
     addr: String,
     interval: Duration,
     once: bool,
-    cluster: bool,
 }
 
 impl Default for Options {
@@ -49,7 +44,6 @@ impl Default for Options {
             addr: "127.0.0.1:7477".to_owned(),
             interval: Duration::from_millis(1000),
             once: false,
-            cluster: false,
         }
     }
 }
@@ -80,19 +74,6 @@ struct Sample {
     /// Per kind: (hit, miss, overbudget, errors, p50, p90, p99, max) —
     /// latencies in milliseconds.
     kinds: Vec<(String, [f64; 8])>,
-    /// Present when the server runs in cluster mode.
-    cluster: Option<ClusterSample>,
-}
-
-/// The `cluster` object of a cluster-mode `metrics` response.
-#[derive(Default, Clone)]
-struct ClusterSample {
-    self_id: String,
-    /// (node id, believed alive) for every ring member.
-    nodes: Vec<(String, bool)>,
-    forwards: f64,
-    fallbacks: f64,
-    singleflight_waits: f64,
 }
 
 fn num(value: Option<&Json>) -> f64 {
@@ -111,33 +92,6 @@ fn extract(metrics: &Json) -> Sample {
         sample.cache_hits = num(cache.get("hits"));
         sample.cache_misses = num(cache.get("misses"));
         sample.cache_entries = num(cache.get("entries"));
-    }
-    if let Some(cluster) = metrics.get("cluster") {
-        sample.cluster = Some(ClusterSample {
-            self_id: cluster
-                .get("self")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_owned(),
-            nodes: cluster
-                .get("nodes")
-                .and_then(Json::as_arr)
-                .map(|nodes| {
-                    nodes
-                        .iter()
-                        .map(|n| {
-                            (
-                                n.get("id").and_then(Json::as_str).unwrap_or("?").to_owned(),
-                                n.get("alive").and_then(Json::as_bool).unwrap_or(false),
-                            )
-                        })
-                        .collect()
-                })
-                .unwrap_or_default(),
-            forwards: num(cluster.get("forwards")),
-            fallbacks: num(cluster.get("fallbacks")),
-            singleflight_waits: num(cluster.get("singleflight_waits")),
-        });
     }
     let Some(telemetry) = metrics.get("telemetry") else {
         return sample;
@@ -175,127 +129,6 @@ fn extract(metrics: &Json) -> Sample {
         }
     }
     sample
-}
-
-/// One ring member's row in a `metrics_cluster` response: liveness,
-/// raw request count, and quantiles over the node's merged per-kind
-/// latency histograms.
-#[derive(Default, Clone)]
-struct NodeRow {
-    node: String,
-    up: bool,
-    requests: f64,
-    /// Latency-tracked requests (sum of per-kind histogram counts).
-    tracked: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-}
-
-/// The fleet view one `metrics_cluster` poll extracts: per-node rows
-/// plus the aggregator's exact merge of every node's histograms.
-#[derive(Default, Clone)]
-struct FleetView {
-    aggregator: String,
-    nodes: Vec<NodeRow>,
-    requests: f64,
-    /// Per kind: (count, p50 ms, p99 ms, max ms) over the whole fleet.
-    kinds: Vec<(String, [f64; 4])>,
-}
-
-fn extract_fleet(resp: &Json) -> FleetView {
-    let mut view = FleetView {
-        aggregator: resp
-            .get("node")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_owned(),
-        ..FleetView::default()
-    };
-    if let Some(nodes) = resp.get("nodes").and_then(Json::as_arr) {
-        for n in nodes {
-            let mut row = NodeRow {
-                node: n
-                    .get("node")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_owned(),
-                up: n.get("up").and_then(Json::as_bool).unwrap_or(false),
-                requests: num(n.get("requests")),
-                ..NodeRow::default()
-            };
-            // Quantiles come from the node's merged histograms — merge
-            // is exact bucket addition, so cross-kind merging is sound.
-            if let Some(Json::Obj(kinds)) = n.get("kinds") {
-                let mut merged = HistogramSnapshot::default();
-                for k in kinds.values() {
-                    if let Some(snap) = snapshot_from_json(k) {
-                        merged.merge(&snap);
-                    }
-                }
-                row.tracked = merged.count as f64;
-                row.p50_ms = merged.quantile(0.50) as f64 / 1e6;
-                row.p99_ms = merged.quantile(0.99) as f64 / 1e6;
-            }
-            view.nodes.push(row);
-        }
-    }
-    if let Some(fleet) = resp.get("fleet") {
-        view.requests = num(fleet.get("requests"));
-        if let Some(Json::Obj(kinds)) = fleet.get("kinds") {
-            for (name, k) in kinds {
-                view.kinds.push((
-                    name.clone(),
-                    [
-                        num(k.get("count")),
-                        num(k.get("p50_ms")),
-                        num(k.get("p99_ms")),
-                        num(k.get("max")) / 1e6,
-                    ],
-                ));
-            }
-        }
-    }
-    view
-}
-
-fn render_fleet(view: &FleetView, addr: &str) -> String {
-    let up = view.nodes.iter().filter(|n| n.up).count();
-    let mut out = format!(
-        "samm-top --cluster — {addr}   aggregator {}   nodes up {up}/{}   fleet req {}\n\n",
-        view.aggregator,
-        view.nodes.len(),
-        view.requests as u64,
-    );
-    out.push_str(&format!(
-        "{:<12} {:>5} {:>10} {:>10} {:>9} {:>9}\n",
-        "node", "up", "requests", "tracked", "p50 ms", "p99 ms"
-    ));
-    for n in &view.nodes {
-        if !n.up {
-            out.push_str(&format!("{:<12} {:>5} (unreachable)\n", n.node, "no"));
-            continue;
-        }
-        out.push_str(&format!(
-            "{:<12} {:>5} {:>10} {:>10} {:>9.3} {:>9.3}\n",
-            n.node, "yes", n.requests as u64, n.tracked as u64, n.p50_ms, n.p99_ms,
-        ));
-    }
-    out.push('\n');
-    out.push_str(&format!(
-        "{:<12} {:>10} {:>9} {:>9} {:>9}\n",
-        "fleet kind", "count", "p50 ms", "p99 ms", "max ms"
-    ));
-    for (name, k) in &view.kinds {
-        if k[0] == 0.0 {
-            out.push_str(&format!("{name:<12} {:>10} (idle)\n", "-"));
-            continue;
-        }
-        out.push_str(&format!(
-            "{name:<12} {:>10} {:>9.3} {:>9.3} {:>9.3}\n",
-            k[0] as u64, k[1], k[2], k[3],
-        ));
-    }
-    out
 }
 
 fn fmt_uptime(secs: f64) -> String {
@@ -361,22 +194,6 @@ fn render(sample: &Sample, previous: Option<(&Sample, Duration)>, addr: &str) ->
         sample.forks as u64,
         sample.deduped as u64,
     ));
-    if let Some(cluster) = &sample.cluster {
-        let peers: Vec<String> = cluster
-            .nodes
-            .iter()
-            .filter(|(id, _)| *id != cluster.self_id)
-            .map(|(id, alive)| format!("{id}{}", if *alive { "" } else { "(down)" }))
-            .collect();
-        out.push_str(&format!(
-            "cluster  self {}  peers [{}]  forwards {}  fallbacks {}  sf-waits {}\n",
-            cluster.self_id,
-            peers.join(" "),
-            cluster.forwards as u64,
-            cluster.fallbacks as u64,
-            cluster.singleflight_waits as u64,
-        ));
-    }
     out.push('\n');
     out.push_str(&format!(
         "{:<12} {:>8} {:>8} {:>8} {:>6} {:>9} {:>9} {:>9} {:>9}\n",
@@ -413,7 +230,6 @@ fn main() -> ExitCode {
                 opts.interval = Duration::from_millis(ms.max(50));
             }
             "--once" => opts.once = true,
-            "--cluster" => opts.cluster = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("samm-top: unknown argument '{other}'");
@@ -437,14 +253,9 @@ fn main() -> ExitCode {
         }
     };
 
-    let poll_line = if opts.cluster {
-        r#"{"kind":"metrics_cluster"}"#
-    } else {
-        r#"{"kind":"metrics"}"#
-    };
     let mut previous: Option<(Sample, Instant)> = None;
     loop {
-        let metrics = match client.request_raw(poll_line) {
+        let metrics = match client.request_raw(r#"{"kind":"metrics"}"#) {
             Ok(metrics) => metrics,
             Err(e) => {
                 eprintln!("samm-top: metrics request failed: {e}");
@@ -454,18 +265,6 @@ fn main() -> ExitCode {
         if metrics.get("ok").and_then(Json::as_bool) != Some(true) {
             eprintln!("samm-top: server refused metrics: {metrics}");
             return ExitCode::FAILURE;
-        }
-        if opts.cluster {
-            let frame = render_fleet(&extract_fleet(&metrics), &opts.addr);
-            if opts.once {
-                print!("{frame}");
-                return ExitCode::SUCCESS;
-            }
-            print!("\x1b[2J\x1b[H{frame}");
-            use std::io::Write as _;
-            let _ = std::io::stdout().flush();
-            std::thread::sleep(opts.interval);
-            continue;
         }
         let sample = extract(&metrics);
         let now = Instant::now();
@@ -499,10 +298,6 @@ mod tests {
         let line = r#"{"ok":true,"kind":"metrics","requests":7,"monitoring":2,
             "errors":1,"overloaded":0,
             "cache":{"hits":3,"misses":4,"evictions":0,"insertions":4,"entries":4,"hit_rate":0.4286},
-            "cluster":{"self":"node-a",
-              "nodes":[{"id":"node-a","alive":true},{"id":"node-b","alive":true},
-                       {"id":"node-c","alive":false}],
-              "forwards":12,"fallbacks":1,"singleflight_waits":3},
             "telemetry":{"uptime_secs":12.5,"queue_depth":1,"monitoring":2,
               "slow_queries":1,"rate_5s":0.8,
               "kinds":{"enumerate":{"hit":3,"miss":4,"overbudget":0,"errors":1,
@@ -523,18 +318,9 @@ mod tests {
         assert_eq!(k[0], 3.0);
         assert_eq!(k[4], 0.5);
 
-        let cluster = sample.cluster.as_ref().expect("cluster object extracted");
-        assert_eq!(cluster.self_id, "node-a");
-        assert_eq!(cluster.nodes.len(), 3);
-        assert_eq!(cluster.forwards, 12.0);
-
         let frame = render(&sample, None, "test:0");
         assert!(frame.contains("enumerate"));
         assert!(frame.contains("hit-rate"));
-        assert!(
-            frame.contains("self node-a  peers [node-b node-c(down)]"),
-            "{frame}"
-        );
 
         let mut later = sample.clone();
         later.requests = 17.0;
@@ -542,72 +328,5 @@ mod tests {
         let frame = render(&later, Some((&sample, Duration::from_secs(2))), "test:0");
         // 10 more requests over 2 s -> 5.0/s observed.
         assert!(frame.contains("5.0/s (poll)"), "{frame}");
-    }
-
-    #[test]
-    fn extract_reads_a_metrics_cluster_response() {
-        use samm_core::telemetry::Histogram;
-        use samm_serve::telemetry::snapshot_to_json;
-
-        let hist = Histogram::new();
-        for us in [100u64, 200, 400] {
-            hist.record(us * 1_000);
-        }
-        let snap = snapshot_to_json(&hist.snapshot());
-        let node = |id: &str, req: f64| {
-            Json::obj([
-                ("node", Json::str(id)),
-                ("up", Json::Bool(true)),
-                ("requests", Json::num(req)),
-                ("kinds", Json::obj([("enumerate", snap.clone())])),
-            ])
-        };
-        let mut fleet_kind = snap.clone();
-        if let Json::Obj(fields) = &mut fleet_kind {
-            fields.insert("p50_ms".to_owned(), Json::num(0.2));
-            fields.insert("p99_ms".to_owned(), Json::num(0.4));
-        }
-        let resp = Json::obj([
-            ("ok", Json::Bool(true)),
-            ("kind", Json::str("metrics_cluster")),
-            ("node", Json::str("node-a")),
-            (
-                "nodes",
-                Json::Arr(vec![
-                    node("node-a", 5.0),
-                    node("node-b", 7.0),
-                    Json::obj([
-                        ("node", Json::str("node-c")),
-                        ("up", Json::Bool(false)),
-                        ("requests", Json::num(0.0)),
-                    ]),
-                ]),
-            ),
-            (
-                "fleet",
-                Json::obj([
-                    ("requests", Json::num(12.0)),
-                    ("kinds", Json::obj([("enumerate", fleet_kind)])),
-                ]),
-            ),
-        ]);
-
-        let view = extract_fleet(&resp);
-        assert_eq!(view.aggregator, "node-a");
-        assert_eq!(view.nodes.len(), 3);
-        assert_eq!(view.requests, 12.0);
-        assert_eq!(view.nodes[0].tracked, 3.0);
-        assert!(view.nodes[0].p50_ms > 0.0);
-        assert!(!view.nodes[2].up);
-        assert_eq!(view.kinds.len(), 1);
-        assert_eq!(view.kinds[0].1[0], 3.0);
-        assert_eq!(view.kinds[0].1[1], 0.2);
-
-        let frame = render_fleet(&view, "test:0");
-        assert!(frame.contains("nodes up 2/3"), "{frame}");
-        assert!(frame.contains("fleet req 12"), "{frame}");
-        assert!(frame.contains("node-c"), "{frame}");
-        assert!(frame.contains("unreachable"), "{frame}");
-        assert!(frame.contains("enumerate"), "{frame}");
     }
 }

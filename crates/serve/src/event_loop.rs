@@ -1,5 +1,5 @@
-//! The readiness-driven I/O core: N event loops multiplexing many
-//! connections over a shared handler pool.
+//! The service's I/O core: N readiness-driven event loops multiplexing
+//! many connections over a shared handler pool.
 //!
 //! ```text
 //!            ┌ loop 0 (owns the listener) ── epoll/poll ── conns…
@@ -21,11 +21,10 @@
 //! `max_connections` a connection is answered with the structured
 //! `overloaded` error and closed.
 //!
-//! Shutdown (a wire `shutdown` request or [`EventHandle::shutdown`])
+//! Shutdown (a wire `shutdown` request or [`ServerHandle::shutdown`])
 //! stops accepting and reading, lets in-flight work finish within
 //! `drain_deadline`, flushes every pending response, then persists the
-//! cache — the same graceful-drain contract as the threaded core in
-//! [`crate::server`], which stays selectable via `--io threaded`.
+//! cache.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
@@ -39,47 +38,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use samm_core::cache::EnumCache;
+use samm_core::telemetry::trace::SpanWriter;
+use samm_core::telemetry::JsonlLog;
 
-use crate::cluster::{Cluster, ClusterConfig};
 use crate::handler::{self, ServerState};
-use crate::protocol::{parse_envelope, Request};
+use crate::protocol::{parse_envelope, ErrorKind, Request, ServiceError};
 use crate::server::{self, ServerConfig};
-use crate::sys::{Event, Interest, Poller, PollerKind};
+use crate::sys::{Event, Interest, Poller};
 use crate::telemetry::{LoopGauges, Telemetry};
-
-/// Event-core construction parameters, layered over the shared
-/// [`ServerConfig`] (cache geometry, budget, persistence, telemetry).
-#[derive(Debug, Clone)]
-pub struct EventConfig {
-    /// Event-loop threads. Loop 0 also owns the listener.
-    pub loops: usize,
-    /// Open connections across all loops before new ones are rejected
-    /// with the structured `overloaded` error.
-    pub max_connections: usize,
-    /// In-flight requests per connection before the loop stops reading
-    /// that socket (pipelining backpressure).
-    pub max_pipeline: usize,
-    /// How long a graceful drain waits for in-flight work and pending
-    /// writes before forcing connections closed.
-    pub drain_deadline: Duration,
-    /// Readiness backend.
-    pub poller: PollerKind,
-    /// Cluster topology, when serving as a ring member.
-    pub cluster: Option<ClusterConfig>,
-}
-
-impl Default for EventConfig {
-    fn default() -> Self {
-        EventConfig {
-            loops: 1,
-            max_connections: 10_000,
-            max_pipeline: 64,
-            drain_deadline: Duration::from_secs(5),
-            poller: PollerKind::default_for_platform(),
-            cluster: None,
-        }
-    }
-}
 
 /// Poller token of the per-loop wake pipe.
 const WAKE_TOKEN: u64 = 0;
@@ -157,10 +123,10 @@ impl EventShared {
     }
 }
 
-/// A running event-core server; dropping the handle does NOT stop it —
-/// call [`EventHandle::shutdown`], or send a wire `shutdown` request
-/// and [`EventHandle::join`].
-pub struct EventHandle {
+/// A running server; dropping the handle does NOT stop it — call
+/// [`ServerHandle::shutdown`], or send a wire `shutdown` request and
+/// [`ServerHandle::join`].
+pub struct ServerHandle {
     addr: SocketAddr,
     prom_addr: Option<SocketAddr>,
     shared: Arc<EventShared>,
@@ -170,9 +136,9 @@ pub struct EventHandle {
     persist_path: Option<PathBuf>,
 }
 
-impl std::fmt::Debug for EventHandle {
+impl std::fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventHandle")
+        f.debug_struct("ServerHandle")
             .field("addr", &self.addr)
             .field("loops", &self.loops.len())
             .field("workers", &self.workers.len())
@@ -180,7 +146,7 @@ impl std::fmt::Debug for EventHandle {
     }
 }
 
-impl EventHandle {
+impl ServerHandle {
     /// The bound serving address (with the OS-chosen port when the
     /// config asked for port 0).
     pub fn addr(&self) -> SocketAddr {
@@ -210,7 +176,7 @@ impl EventHandle {
     ///
     /// # Errors
     ///
-    /// As for [`EventHandle::shutdown`].
+    /// As for [`ServerHandle::shutdown`].
     pub fn join(mut self) -> std::io::Result<()> {
         self.join_inner()
     }
@@ -249,7 +215,7 @@ impl EventHandle {
 /// Propagates bind and poller-construction failures. A configured
 /// persistence file that does not exist yet is not an error (first
 /// run).
-pub fn start(config: ServerConfig, event: EventConfig) -> std::io::Result<EventHandle> {
+pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
@@ -268,11 +234,11 @@ pub fn start(config: ServerConfig, event: EventConfig) -> std::io::Result<EventH
         )?,
         None => Telemetry::default(),
     };
-    crate::server::attach_trace_log(&mut telemetry, &config)?;
-    let mut state = ServerState::with_telemetry(cache, config.budget, telemetry, config.observe);
-    if let Some(cluster_config) = event.cluster.clone() {
-        state.set_cluster(Arc::new(Cluster::new(cluster_config)));
+    if let Some(path) = &config.trace_log {
+        let log = JsonlLog::open(path.clone(), config.trace_log_max_bytes)?;
+        telemetry.spans = Some(Box::new(SpanWriter::new(Arc::new(log))));
     }
+    let state = ServerState::with_telemetry(cache, config.budget, telemetry, config.observe);
 
     let prom_listener = config
         .prom_addr
@@ -286,12 +252,12 @@ pub fn start(config: ServerConfig, event: EventConfig) -> std::io::Result<EventH
 
     // Build each loop's poller and wake pipe up front so a failure
     // aborts before any thread spawns.
-    let loop_count = event.loops.max(1);
+    let loop_count = config.loops.max(1);
     let mut pollers = Vec::with_capacity(loop_count);
     let mut wake_readers = Vec::with_capacity(loop_count);
     let mut loop_shareds = Vec::with_capacity(loop_count);
     for _ in 0..loop_count {
-        let mut poller = Poller::new(event.poller)?;
+        let mut poller = Poller::new(config.poller)?;
         let (wake_write, wake_read) = UnixStream::pair()?;
         wake_read.set_nonblocking(true)?;
         wake_write.set_nonblocking(true)?;
@@ -314,10 +280,10 @@ pub fn start(config: ServerConfig, event: EventConfig) -> std::io::Result<EventH
         draining: AtomicBool::new(false),
         loops_alive: AtomicUsize::new(loop_count),
         conn_count: AtomicUsize::new(0),
-        max_connections: event.max_connections.max(1),
-        max_pipeline: event.max_pipeline.max(1),
+        max_connections: config.max_connections.max(1),
+        max_pipeline: config.max_pipeline.max(1),
         read_timeout: config.read_timeout,
-        drain_deadline: event.drain_deadline,
+        drain_deadline: config.drain_deadline,
         retry_after_ms: 50,
     });
 
@@ -350,14 +316,14 @@ pub fn start(config: ServerConfig, event: EventConfig) -> std::io::Result<EventH
             std::thread::Builder::new()
                 .name("samm-serve-prom".to_owned())
                 .spawn(move || {
-                    server::prom_loop_shared(&prom_listener, &shared.state, || {
+                    server::prom_loop(&prom_listener, &shared.state, || {
                         shared.draining.load(Ordering::SeqCst)
                     });
                 })
         })
         .transpose()?;
 
-    Ok(EventHandle {
+    Ok(ServerHandle {
         addr,
         prom_addr,
         shared,
@@ -550,7 +516,7 @@ impl EventLoop {
                     .counters
                     .overloaded
                     .fetch_add(1, Ordering::Relaxed);
-                server::reject_overloaded(stream, self.shared.retry_after_ms);
+                reject_overloaded(stream, self.shared.retry_after_ms);
                 continue;
             }
             self.shared.conn_count.fetch_add(1, Ordering::SeqCst);
@@ -792,6 +758,18 @@ impl EventLoop {
         }
         false
     }
+}
+
+/// Answers an over-limit connection with a structured `overloaded`
+/// error (including the retry hint) and closes it.
+fn reject_overloaded(mut stream: TcpStream, retry_after_ms: u64) {
+    let mut err = ServiceError::new(
+        ErrorKind::Overloaded,
+        "connection limit reached; retry after the hinted delay",
+    );
+    err.retry_after_ms = Some(retry_after_ms);
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+    let _ = writeln!(stream, "{}", err.to_response());
 }
 
 /// A worker: pops lines, executes them against the shared state, and

@@ -21,19 +21,14 @@ use samm_core::outcome::{Outcome, OutcomeSet};
 use samm_core::parallel::enumerate_parallel;
 use samm_core::pruned::enumerate_pruned;
 use samm_core::telemetry::trace::{ActiveSpan, SpanKind, TraceContext};
-use samm_core::telemetry::HistogramSnapshot;
 use samm_litmus::catalog::{self, CatalogEntry, ModelSel};
 use samm_litmus::expect::{
     run_entry_cached, run_entry_cached_parallel, run_entry_cached_pruned, EntryReport,
 };
 
-use crate::cluster::Cluster;
 use crate::json::Json;
 use crate::protocol::{EngineSel, Envelope, ErrorKind, Request, ServiceError};
-use crate::telemetry::{
-    kind_index, snapshot_from_json, snapshot_to_json, FleetSample, ReqOutcome, Telemetry,
-    KIND_NAMES,
-};
+use crate::telemetry::{kind_index, ReqOutcome, Telemetry, KIND_NAMES};
 
 /// Monotonic counters the `metrics` request reports.
 #[derive(Debug, Default)]
@@ -48,7 +43,8 @@ pub struct Counters {
     pub monitoring: AtomicU64,
     /// Requests answered with a structured error.
     pub errors: AtomicU64,
-    /// Connections rejected because the queue was full.
+    /// Connections rejected because the server was at its
+    /// `max_connections` limit.
     pub overloaded: AtomicU64,
 }
 
@@ -68,8 +64,6 @@ pub struct ServerState {
     /// ([`EnumConfig::observe`]), feeding the aggregated closure-rule
     /// counters. One server-wide setting so cache keys stay uniform.
     pub observe: bool,
-    /// Cluster membership and peer pools when serving in cluster mode.
-    pub cluster: Option<Arc<Cluster>>,
     /// Single-flight table: fingerprints with an enumeration currently
     /// running, so identical concurrent queries wait for the leader's
     /// cache insert instead of duplicating the work.
@@ -138,16 +132,9 @@ impl ServerState {
             counters: Counters::default(),
             telemetry,
             observe,
-            cluster: None,
             flights: Mutex::new(HashMap::new()),
             rendered: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Attaches cluster membership; enumerate-backed requests are then
-    /// routed through the consistent-hash ring.
-    pub fn set_cluster(&mut self, cluster: Arc<Cluster>) {
-        self.cluster = Some(cluster);
     }
 
     /// The enumeration configuration for one request: server defaults,
@@ -163,12 +150,10 @@ impl ServerState {
 
     /// Renders the Prometheus exposition for the current state.
     pub fn render_prom(&self) -> String {
-        let snapshot = self.cluster.as_ref().map(|c| c.snapshot());
         self.telemetry.render_prom(
             self.counters.overloaded.load(Ordering::Relaxed),
             &self.cache.stats(),
             &self.cache.shard_stats(),
-            snapshot.as_ref(),
         )
     }
 }
@@ -186,19 +171,17 @@ pub fn handle(state: &ServerState, request: &Request) -> Json {
 /// by hit/miss/overbudget, the request-rate window, and the slow-query
 /// log.
 pub fn handle_traced(state: &ServerState, request: &Request, id: Option<&str>) -> Json {
-    handle_inner(state, request, id, false, true, None, None)
+    handle_inner(state, request, id, true, None, None)
 }
 
-/// Executes a parsed envelope: as [`handle_traced`], honouring the
-/// envelope's `fwd` marker (a forwarded request is answered locally,
-/// never re-forwarded) and its propagated `trace` context. The entry
-/// point cluster-aware servers use.
+/// Executes a parsed envelope: as [`handle_traced`], continuing the
+/// envelope's propagated `trace` context. The entry point the server
+/// uses for every request line.
 pub fn handle_envelope(state: &ServerState, envelope: &Envelope) -> Json {
     handle_inner(
         state,
         &envelope.request,
         envelope.id.as_deref(),
-        envelope.fwd,
         true,
         envelope.trace,
         None,
@@ -215,7 +198,6 @@ pub fn handle_envelope(state: &ServerState, envelope: &Envelope) -> Json {
 pub(crate) fn handle_sub(
     state: &ServerState,
     envelope: &Envelope,
-    fwd: bool,
     id: &str,
     ctx: Option<TraceContext>,
     parent: &str,
@@ -224,19 +206,16 @@ pub(crate) fn handle_sub(
         state,
         &envelope.request,
         Some(id),
-        fwd,
         false,
         envelope.trace.or(ctx),
         Some(parent),
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn handle_inner(
     state: &ServerState,
     request: &Request,
     id: Option<&str>,
-    fwd: bool,
     top_level: bool,
     ctx: Option<TraceContext>,
     batch_parent: Option<&str>,
@@ -276,12 +255,6 @@ fn handle_inner(
         if let Some(k) = kind {
             span.attr("req", KIND_NAMES[k]);
         }
-        if fwd {
-            span.attr("fwd", true);
-        }
-        if let Some(cluster) = &state.cluster {
-            span.attr("node", cluster.self_id().to_owned());
-        }
         Some(span)
     } else {
         None
@@ -293,8 +266,8 @@ fn handle_inner(
             model,
             budget,
             engine,
-        } => enumerate_response(state, test, model, *budget, *engine, fwd, span.as_ref()),
-        Request::Batch(subs) => Ok(crate::batch::execute(state, subs, fwd, &id, span.as_ref())),
+        } => enumerate_response(state, test, model, *budget, *engine, span.as_ref()),
+        Request::Batch(subs) => Ok(crate::batch::execute(state, subs, &id, span.as_ref())),
         Request::Verdict {
             test,
             budget,
@@ -318,7 +291,6 @@ fn handle_inner(
             robust,
         } => certify_response(state, test, model, *robust),
         Request::Metrics => Ok(metrics_response(state)),
-        Request::MetricsCluster => Ok(metrics_cluster_response(state, fwd)),
         Request::MetricsProm => Ok(Json::obj([
             ("ok", Json::Bool(true)),
             ("kind", Json::str("metrics_prom")),
@@ -435,14 +407,12 @@ fn outcomes_json(outcomes: &OutcomeSet) -> Json {
     Json::Arr(outcomes.iter().map(render).collect())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn enumerate_response(
     state: &ServerState,
     test: &str,
     model: &str,
     budget: Option<u64>,
     engine: EngineSel,
-    fwd: bool,
     span: Option<&ActiveSpan>,
 ) -> Result<Json, ServiceError> {
     let entry = find_entry(test)?;
@@ -450,58 +420,6 @@ fn enumerate_response(
     let policy = sel.policy();
     let config = state.config(budget);
     let fp = samm_core::fingerprint::query_fingerprint(&entry.test.program, &policy, &config);
-
-    // Cluster routing: keys owned elsewhere are forwarded — unless this
-    // request was itself forwarded here (`fwd`), the key is already in
-    // the local cache, or the owner is unreachable (fallback below).
-    if let Some(cluster) = state.cluster.as_ref().filter(|_| !fwd) {
-        let owner = cluster.owner_of(fp);
-        if cluster.node_id(owner) != cluster.self_id() && !state.cache.contains(fp) {
-            // The forward span is the parent the owning peer continues
-            // under: its context travels in the envelope's trace field.
-            let fwd_span = span.map(|s| s.child("forward", SpanKind::Client));
-            let env = Envelope {
-                id: None,
-                request: Request::Enumerate {
-                    test: test.to_owned(),
-                    model: model.to_owned(),
-                    budget,
-                    engine,
-                },
-                fwd: true,
-                trace: fwd_span.as_ref().map(ActiveSpan::context),
-            };
-            match cluster.forward(owner, &env) {
-                Some(mut response) => {
-                    state.telemetry.note_forward(cluster.node_id(owner));
-                    state.telemetry.forward_hops.record(1);
-                    if let Json::Obj(map) = &mut response {
-                        map.insert("forwarded".to_owned(), Json::Bool(true));
-                    }
-                    if let (Some(mut fs), Some(sink)) = (fwd_span, state.telemetry.span_sink()) {
-                        fs.attr("peer", cluster.node_id(owner).to_owned());
-                        fs.attr("ok", true);
-                        fs.finish(sink);
-                    }
-                    return Ok(response);
-                }
-                None => {
-                    state
-                        .telemetry
-                        .forward_fallbacks
-                        .fetch_add(1, Ordering::Relaxed);
-                    if let (Some(mut fs), Some(sink)) = (fwd_span, state.telemetry.span_sink()) {
-                        fs.attr("peer", cluster.node_id(owner).to_owned());
-                        fs.attr("ok", false);
-                        fs.finish(sink);
-                    }
-                }
-            }
-        }
-    }
-    if state.cluster.is_some() && !fwd {
-        state.telemetry.forward_hops.record(0);
-    }
 
     let mut work_span = span.map(|s| s.child("enumerate", SpanKind::Internal));
     // Single-flight: one leader per fingerprint enumerates; identical
@@ -634,7 +552,7 @@ fn enumerate_response(
             }
         }
     };
-    let mut fields = vec![
+    Ok(Json::obj([
         ("ok", Json::Bool(true)),
         ("kind", Json::str("enumerate")),
         ("test", Json::str(entry.test.name.clone())),
@@ -645,11 +563,7 @@ fn enumerate_response(
         ("executions", Json::num(fragments.executions as f64)),
         ("outcomes", Json::Raw(fragments.outcomes)),
         ("stats", Json::Raw(fragments.stats)),
-    ];
-    if let Some(cluster) = &state.cluster {
-        fields.push(("node", Json::str(cluster.self_id())));
-    }
-    Ok(Json::obj(fields))
+    ]))
 }
 
 fn report_json(report: &EntryReport) -> Json {
@@ -812,7 +726,7 @@ fn certify_response(
 
 fn metrics_response(state: &ServerState) -> Json {
     let counters = &state.counters;
-    let mut fields = vec![
+    Json::obj([
         ("ok", Json::Bool(true)),
         ("kind", Json::str("metrics")),
         (
@@ -833,172 +747,6 @@ fn metrics_response(state: &ServerState) -> Json {
         ),
         ("cache", Json::Raw(state.cache.stats().to_json())),
         ("telemetry", state.telemetry.to_json()),
-    ];
-    if let Some(cluster) = &state.cluster {
-        let snapshot = cluster.snapshot();
-        let nodes = snapshot
-            .nodes
-            .iter()
-            .map(|(id, alive)| {
-                Json::obj([("id", Json::str(id.clone())), ("alive", Json::Bool(*alive))])
-            })
-            .collect();
-        fields.push((
-            "cluster",
-            Json::obj([
-                ("self", Json::str(snapshot.self_id)),
-                ("nodes", Json::Arr(nodes)),
-                (
-                    "forwards",
-                    Json::num(state.telemetry.forwards_ok.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "fallbacks",
-                    Json::num(state.telemetry.forward_fallbacks.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "singleflight_waits",
-                    Json::num(state.telemetry.singleflight_waits.load(Ordering::Relaxed) as f64),
-                ),
-            ]),
-        ));
-    }
-    Json::obj(fields)
-}
-
-/// This node's per-kind merged latency snapshots, in wire form.
-fn local_kind_snapshots(telemetry: &Telemetry) -> Json {
-    Json::obj(
-        KIND_NAMES
-            .iter()
-            .zip(&telemetry.kinds)
-            .map(|(name, k)| (*name, snapshot_to_json(&k.merged())))
-            .collect::<Vec<_>>(),
-    )
-}
-
-/// This node's sample of the fleet view.
-fn local_node_sample(state: &ServerState) -> Json {
-    let node = state.cluster.as_ref().map_or("local", |c| c.self_id());
-    Json::obj([
-        ("node", Json::str(node)),
-        ("up", Json::Bool(true)),
-        (
-            "requests",
-            Json::num(state.telemetry.requests_total() as f64),
-        ),
-        ("kinds", local_kind_snapshots(&state.telemetry)),
-    ])
-}
-
-/// A snapshot plus derived quantiles, for the `fleet` section.
-fn fleet_kind_json(snap: &HistogramSnapshot) -> Json {
-    let ms = 1e-6; // ns -> ms
-    let mut rendered = snapshot_to_json(snap);
-    if let Json::Obj(map) = &mut rendered {
-        map.insert(
-            "p50_ms".to_owned(),
-            Json::num(snap.quantile(0.50) as f64 * ms),
-        );
-        map.insert(
-            "p99_ms".to_owned(),
-            Json::num(snap.quantile(0.99) as f64 * ms),
-        );
-    }
-    rendered
-}
-
-/// Answers `metrics_cluster`: this node's per-kind histogram snapshots
-/// plus — on the aggregator (`fwd` false) — the same snapshots fanned
-/// out from every ring peer, merged into one `fleet` section. The
-/// histogram merge is exact and commutative, so the fleet histogram
-/// equals the sum of the per-node snapshots it includes; a peer that
-/// does not answer appears with `up:false` and contributes nothing.
-/// The fan-out also refreshes the cached fleet view behind the
-/// `node`-labelled Prometheus families.
-fn metrics_cluster_response(state: &ServerState, fwd: bool) -> Json {
-    let mut nodes: Vec<Json> = vec![local_node_sample(state)];
-    if !fwd {
-        if let Some(cluster) = &state.cluster {
-            for i in 0..cluster.len() {
-                let peer = cluster.node_id(i);
-                if peer == cluster.self_id() {
-                    continue;
-                }
-                let env = Envelope {
-                    id: None,
-                    request: Request::MetricsCluster,
-                    fwd: true,
-                    trace: None,
-                };
-                let answered = cluster.forward(i, &env).and_then(|resp| {
-                    if resp.get("ok").and_then(Json::as_bool) != Some(true) {
-                        return None;
-                    }
-                    resp.get("nodes")
-                        .and_then(Json::as_arr)
-                        .and_then(|a| a.first().cloned())
-                });
-                nodes.push(answered.unwrap_or_else(|| {
-                    Json::obj([
-                        ("node", Json::str(peer)),
-                        ("up", Json::Bool(false)),
-                        ("requests", Json::num(0.0)),
-                    ])
-                }));
-            }
-        }
-    }
-    // Fleet merge: bucket-wise addition per kind over answering nodes.
-    let mut fleet_requests = 0u64;
-    let mut merged: Vec<HistogramSnapshot> = (0..KIND_NAMES.len())
-        .map(|_| HistogramSnapshot::default())
-        .collect();
-    for node in &nodes {
-        fleet_requests += node.get("requests").and_then(Json::as_u64).unwrap_or(0);
-        if let Some(kinds) = node.get("kinds") {
-            for (i, name) in KIND_NAMES.iter().enumerate() {
-                if let Some(snap) = kinds.get(name).and_then(snapshot_from_json) {
-                    merged[i].merge(&snap);
-                }
-            }
-        }
-    }
-    if !fwd {
-        state
-            .telemetry
-            .update_fleet(nodes.iter().filter_map(|node| {
-                Some((
-                    node.get("node")?.as_str()?.to_owned(),
-                    FleetSample {
-                        up: node.get("up").and_then(Json::as_bool).unwrap_or(false),
-                        requests: node.get("requests").and_then(Json::as_u64).unwrap_or(0),
-                    },
-                ))
-            }));
-    }
-    let fleet_kinds = Json::obj(
-        KIND_NAMES
-            .iter()
-            .zip(&merged)
-            .map(|(name, snap)| (*name, fleet_kind_json(snap)))
-            .collect::<Vec<_>>(),
-    );
-    Json::obj([
-        ("ok", Json::Bool(true)),
-        ("kind", Json::str("metrics_cluster")),
-        (
-            "node",
-            Json::str(state.cluster.as_ref().map_or("local", |c| c.self_id())),
-        ),
-        ("nodes", Json::Arr(nodes)),
-        (
-            "fleet",
-            Json::obj([
-                ("requests", Json::num(fleet_requests as f64)),
-                ("kinds", fleet_kinds),
-            ]),
-        ),
     ])
 }
 

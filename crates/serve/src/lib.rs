@@ -10,29 +10,27 @@
 //! The implementation is std-only (no async runtime, no serde): a
 //! hand-rolled JSON codec ([`json`]), a typed wire protocol
 //! ([`protocol`]), a request executor ([`handler`]), and a blocking
-//! [`client`]. Two I/O cores host the executor: the readiness-driven
-//! [`event_loop`] (epoll on Linux, portable `poll` fallback — see
-//! [`sys`]) with request pipelining and the syscall-amortizing
-//! [`batch`] envelope, and the legacy bounded-queue thread-per-
-//! connection [`server`]. Both drain gracefully. [`ring`] and
-//! [`cluster`] scale the event core out: consistent-hash routing of
-//! [`samm_core::fingerprint`] keys across a static member list, peer
-//! forwarding on miss with single-flight de-duplication, and live
-//! dead-peer failover, turning the node-local caches into one
-//! distributed cache. `docs/SERVICE.md` documents the wire format and
-//! `docs/CLUSTER.md` the operator runbook; the `samm-serve` binary
-//! hosts the server and `samm-load` (in `samm-bench`) replays the
-//! catalog against one or many nodes.
+//! [`client`]. One I/O core hosts the executor: the readiness-driven
+//! [`event_loop`] (epoll on Linux, portable `poll` elsewhere — see
+//! [`sys`]) with request pipelining, the syscall-amortizing [`batch`]
+//! envelope, and graceful drain. [`start`] takes the one
+//! configuration type, [`ServerConfig`]. The service runs on Unix
+//! only. To scale out, run independent replicas and spread clients
+//! over them (`samm-load --endpoints`): every replica can hold the
+//! whole catalog key space, so nothing needs to be shared (see
+//! EXPERIMENTS E27). `docs/SERVICE.md` documents the wire format; the
+//! `samm-serve` binary hosts the server and `samm-load` (in
+//! `samm-bench`) replays the catalog against one or many replicas.
 //!
 //! ## Example: in-process round trip
 //!
 //! ```
 //! use std::time::Duration;
-//! use samm_serve::{client::Client, json::Json, server};
+//! use samm_serve::{client::Client, json::Json, ServerConfig};
 //!
-//! let handle = server::start(server::ServerConfig {
+//! let handle = samm_serve::start(ServerConfig {
 //!     workers: 2,
-//!     ..server::ServerConfig::default()
+//!     ..ServerConfig::default()
 //! }).unwrap();
 //! let mut client = Client::connect(handle.addr(), Duration::from_secs(5)).unwrap();
 //! let reply = client
@@ -49,13 +47,12 @@
 
 pub mod batch;
 pub mod client;
-pub mod cluster;
 #[cfg(unix)]
 pub mod event_loop;
 pub mod handler;
 pub mod json;
 pub mod protocol;
-pub mod ring;
+#[cfg(unix)]
 pub mod server;
 #[cfg(unix)]
 #[allow(unsafe_code)]
@@ -63,15 +60,13 @@ pub mod sys;
 pub mod telemetry;
 
 pub use client::{Client, ClientError};
-pub use cluster::{Cluster, ClusterConfig};
 #[cfg(unix)]
-pub use event_loop::{EventConfig, EventHandle};
+pub use event_loop::{start, ServerHandle};
 pub use handler::ServerState;
 pub use json::Json;
 pub use protocol::{
-    parse_envelope, parse_request, render_envelope, render_request, EngineSel, Envelope, ErrorKind,
-    Request, ServiceError, MAX_BATCH,
+    parse_envelope, parse_request, EngineSel, Envelope, ErrorKind, Request, ServiceError, MAX_BATCH,
 };
-pub use ring::HashRing;
-pub use server::{start, ServerConfig, ServerHandle};
+#[cfg(unix)]
+pub use server::ServerConfig;
 pub use telemetry::{ReqOutcome, Telemetry};

@@ -101,12 +101,6 @@ pub enum Request {
     Batch(Vec<Result<Envelope, ServiceError>>),
     /// Report server counters and cache statistics.
     Metrics,
-    /// Report the fleet view: this node's per-kind latency histogram
-    /// snapshots plus — unless the request arrived with `fwd` set —
-    /// the same snapshots fanned out from every ring peer, merged into
-    /// one `fleet` section (histogram merge is exact and commutative,
-    /// so the fleet histogram equals the sum of per-node snapshots).
-    MetricsCluster,
     /// Report the Prometheus text-format exposition (as the `text`
     /// field of the response). The same payload is served over plain
     /// HTTP when the server was started with `--prom-addr`.
@@ -126,10 +120,6 @@ pub struct Envelope {
     pub id: Option<String>,
     /// The request itself.
     pub request: Request,
-    /// Set on requests a cluster peer forwarded here: the receiving
-    /// node answers locally and never forwards again, so routing
-    /// disagreements (e.g. mid-drain ring views) cannot loop.
-    pub fwd: bool,
     /// Propagated trace context from the wire `trace` field. Parsing
     /// is lenient: a missing, non-string, or malformed value is `None`
     /// (the server starts a fresh root span) — tracing never turns a
@@ -305,15 +295,9 @@ pub fn parse_envelope(line: &str) -> Result<Envelope, ServiceError> {
             ServiceError::new(ErrorKind::Malformed, "field 'id' must be a string")
         })?),
     };
-    let fwd = optional_bool(&value, "fwd")?;
     let trace = lenient_trace(&value);
     let request = parse_request_obj(&value)?;
-    Ok(Envelope {
-        id,
-        request,
-        fwd,
-        trace,
-    })
+    Ok(Envelope { id, request, trace })
 }
 
 /// Decodes the optional `trace` field. Deliberately infallible: any
@@ -352,7 +336,6 @@ fn parse_sub_envelope(value: &Json) -> Result<Envelope, ServiceError> {
         request => Ok(Envelope {
             id,
             request,
-            fwd: false,
             trace: lenient_trace(value),
         }),
     }
@@ -425,7 +408,6 @@ fn parse_request_obj(value: &Json) -> Result<Request, ServiceError> {
             robust: optional_bool(value, "robust")?,
         }),
         "metrics" => Ok(Request::Metrics),
-        "metrics_cluster" => Ok(Request::MetricsCluster),
         "metrics_prom" => Ok(Request::MetricsProm),
         "shutdown" => Ok(Request::Shutdown),
         other => Err(ServiceError::new(
@@ -433,114 +415,6 @@ fn parse_request_obj(value: &Json) -> Result<Request, ServiceError> {
             format!("unknown request kind '{other}'"),
         )),
     }
-}
-
-/// Renders a request back to its wire object — the inverse of the
-/// parser, used by the cluster layer to forward envelopes to the
-/// owning peer. Malformed batch slots (which are never forwarded)
-/// render as an object the receiving parser rejects per-slot, keeping
-/// slot counts aligned.
-pub fn render_request(request: &Request) -> Json {
-    let mut fields: Vec<(&'static str, Json)> = Vec::new();
-    match request {
-        Request::Enumerate {
-            test,
-            model,
-            budget,
-            engine,
-        } => {
-            fields.push(("kind", Json::str("enumerate")));
-            fields.push(("test", Json::str(test.clone())));
-            fields.push(("model", Json::str(model.clone())));
-            if let Some(b) = budget {
-                fields.push(("budget", Json::num(*b as f64)));
-            }
-            fields.push(("engine", Json::str(engine.name())));
-        }
-        Request::Verdict {
-            test,
-            budget,
-            engine,
-        } => {
-            fields.push(("kind", Json::str("verdict")));
-            fields.push(("test", Json::str(test.clone())));
-            if let Some(b) = budget {
-                fields.push(("budget", Json::num(*b as f64)));
-            }
-            fields.push(("engine", Json::str(engine.name())));
-        }
-        Request::Witness {
-            test,
-            model,
-            condition,
-            budget,
-        }
-        | Request::Refutation {
-            test,
-            model,
-            condition,
-            budget,
-        } => {
-            let kind = if matches!(request, Request::Witness { .. }) {
-                "witness"
-            } else {
-                "refutation"
-            };
-            fields.push(("kind", Json::str(kind)));
-            fields.push(("test", Json::str(test.clone())));
-            fields.push(("model", Json::str(model.clone())));
-            fields.push(("condition", Json::num(*condition as f64)));
-            if let Some(b) = budget {
-                fields.push(("budget", Json::num(*b as f64)));
-            }
-        }
-        Request::Certify {
-            test,
-            model,
-            robust,
-        } => {
-            fields.push(("kind", Json::str("certify")));
-            fields.push(("test", Json::str(test.clone())));
-            fields.push(("model", Json::str(model.clone())));
-            if *robust {
-                fields.push(("robust", Json::Bool(true)));
-            }
-        }
-        Request::Batch(subs) => {
-            fields.push(("kind", Json::str("batch")));
-            let rendered = subs
-                .iter()
-                .map(|slot| match slot {
-                    Ok(env) => render_envelope(env),
-                    Err(_) => Json::obj([("kind", Json::str("_invalid"))]),
-                })
-                .collect();
-            fields.push(("requests", Json::Arr(rendered)));
-        }
-        Request::Metrics => fields.push(("kind", Json::str("metrics"))),
-        Request::MetricsCluster => fields.push(("kind", Json::str("metrics_cluster"))),
-        Request::MetricsProm => fields.push(("kind", Json::str("metrics_prom"))),
-        Request::Shutdown => fields.push(("kind", Json::str("shutdown"))),
-    }
-    Json::obj(fields)
-}
-
-/// Renders a full envelope (request plus `id` and `fwd` marker) as one
-/// wire object.
-pub fn render_envelope(env: &Envelope) -> Json {
-    let mut rendered = render_request(&env.request);
-    if let Json::Obj(map) = &mut rendered {
-        if let Some(id) = &env.id {
-            map.insert("id".to_owned(), Json::str(id.clone()));
-        }
-        if env.fwd {
-            map.insert("fwd".to_owned(), Json::Bool(true));
-        }
-        if let Some(ctx) = &env.trace {
-            map.insert("trace".to_owned(), Json::str(ctx.encode()));
-        }
-    }
-    rendered
 }
 
 #[cfg(test)]
@@ -604,10 +478,6 @@ mod tests {
         assert_eq!(
             parse_request(r#"{"kind":"metrics"}"#).unwrap(),
             Request::Metrics
-        );
-        assert_eq!(
-            parse_request(r#"{"kind":"metrics_cluster"}"#).unwrap(),
-            Request::MetricsCluster
         );
         assert_eq!(
             parse_request(r#"{"kind":"metrics_prom"}"#).unwrap(),
@@ -701,39 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn rendered_requests_reparse_identically() {
-        for line in [
-            r#"{"kind":"enumerate","test":"SB","model":"TSO"}"#,
-            r#"{"kind":"enumerate","test":"SB","model":"TSO","budget":100,"engine":"pruned"}"#,
-            r#"{"kind":"verdict","test":"IRIW","engine":"parallel"}"#,
-            r#"{"kind":"witness","test":"SB","model":"TSO","condition":1}"#,
-            r#"{"kind":"refutation","test":"SB","model":"SC","budget":9}"#,
-            r#"{"kind":"certify","test":"SB","model":"TSO","robust":true}"#,
-            r#"{"kind":"metrics"}"#,
-            r#"{"kind":"metrics_cluster"}"#,
-            r#"{"kind":"batch","requests":[{"kind":"metrics","id":"x"}]}"#,
-        ] {
-            let env = parse_envelope(line).unwrap();
-            let rendered = render_envelope(&env).to_string();
-            assert_eq!(parse_envelope(&rendered).unwrap(), env, "{line}");
-        }
-    }
-
-    #[test]
-    fn forwarded_envelopes_round_trip_the_fwd_marker() {
-        let env = parse_envelope(r#"{"kind":"metrics","fwd":true,"id":"f1"}"#).unwrap();
-        assert!(env.fwd);
-        let rendered = render_envelope(&env).to_string();
-        assert!(rendered.contains("\"fwd\":true"));
-        assert_eq!(parse_envelope(&rendered).unwrap(), env);
-        // Absent or false markers stay off the wire.
-        let plain = parse_envelope(r#"{"kind":"metrics"}"#).unwrap();
-        assert!(!plain.fwd);
-        assert!(!render_envelope(&plain).to_string().contains("fwd"));
-    }
-
-    #[test]
-    fn trace_context_round_trips_on_envelopes_and_subs() {
+    fn trace_context_parses_on_envelopes_and_subs() {
         let ctx = TraceContext {
             trace: 0xabcd_ef01_2345_6789,
             span: 0x1111_2222_3333_4444,
@@ -741,8 +579,6 @@ mod tests {
         let line = format!(r#"{{"kind":"metrics","trace":"{}"}}"#, ctx.encode());
         let env = parse_envelope(&line).unwrap();
         assert_eq!(env.trace, Some(ctx));
-        let rendered = render_envelope(&env).to_string();
-        assert_eq!(parse_envelope(&rendered).unwrap(), env);
 
         // Sub-envelopes carry their own trace field too.
         let line = format!(

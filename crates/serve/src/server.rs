@@ -1,52 +1,42 @@
-//! The threaded TCP server: bounded accept queue, worker pool, and
-//! graceful drain.
+//! Server configuration and the Prometheus HTTP side listener.
 //!
-//! Architecture (std-only — no async runtime is vendored):
-//!
-//! ```text
-//! acceptor thread ──► bounded VecDeque<TcpStream> ──► N worker threads
-//!        │                    (Mutex + Condvar)             │
-//!        │ queue full: reply "overloaded" + close           │ newline-delimited
-//!        ▼                                                  ▼ JSON per connection
-//!   TcpListener                                      handler::handle()
-//! ```
-//!
-//! A worker owns one connection at a time and serves requests on it
-//! until EOF, a read timeout, or a `shutdown` request. Shutdown raises
-//! a flag, wakes every worker, and unblocks the acceptor with a
-//! loopback self-connection; workers drain the queue before exiting, so
-//! accepted connections are always answered.
+//! [`ServerConfig`] is the one configuration type of the service: it
+//! covers the readiness-driven I/O core in [`crate::event_loop`]
+//! (loops, connection and pipeline limits, drain deadline, poller), the
+//! handler worker pool, the cache geometry and persistence, and the
+//! telemetry sinks. [`crate::start`] takes it and returns a running
+//! [`crate::ServerHandle`].
 
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use samm_core::cache::EnumCache;
-use samm_core::telemetry::trace::SpanWriter;
-use samm_core::telemetry::JsonlLog;
-
-use crate::handler::{self, ServerState};
-use crate::json::Json;
-use crate::protocol::{parse_envelope, ErrorKind, Request, ServiceError};
-use crate::telemetry::Telemetry;
+use crate::handler::ServerState;
+use crate::sys::PollerKind;
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; use port 0 to let the OS choose.
     pub addr: String,
-    /// Worker threads (each owns one connection at a time).
+    /// Handler worker threads executing parsed requests.
     pub workers: usize,
-    /// Accepted connections waiting for a worker before new ones are
-    /// rejected with an `overloaded` error.
-    pub queue_capacity: usize,
-    /// Idle-connection read timeout; an idle connection is closed when
-    /// it elapses.
+    /// Event-loop threads. Loop 0 also owns the listener.
+    pub loops: usize,
+    /// Open connections across all loops before new ones are rejected
+    /// with the structured `overloaded` error.
+    pub max_connections: usize,
+    /// In-flight requests per connection before the loop stops reading
+    /// that socket (pipelining backpressure).
+    pub max_pipeline: usize,
+    /// How long a graceful drain waits for in-flight work and pending
+    /// writes before forcing connections closed.
+    pub drain_deadline: Duration,
+    /// Readiness backend.
+    pub poller: PollerKind,
+    /// Idle-connection timeout: a connection with nothing in flight is
+    /// closed once it has been quiet this long.
     pub read_timeout: Duration,
     /// Default per-request fork budget (requests may override).
     pub budget: Option<u64>,
@@ -71,8 +61,7 @@ pub struct ServerConfig {
     /// Rotate the slow log after roughly this many bytes.
     pub slow_log_max_bytes: u64,
     /// When set, append one JSONL span record per finished trace span
-    /// to this file (distributed tracing export; see
-    /// docs/OBSERVABILITY.md).
+    /// to this file (see docs/OBSERVABILITY.md).
     pub trace_log: Option<PathBuf>,
     /// Rotate the trace log after roughly this many bytes.
     pub trace_log_max_bytes: u64,
@@ -83,7 +72,11 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 4,
-            queue_capacity: 64,
+            loops: 1,
+            max_connections: 10_000,
+            max_pipeline: 64,
+            drain_deadline: Duration::from_secs(5),
+            poller: PollerKind::default_for_platform(),
             read_timeout: Duration::from_secs(10),
             budget: None,
             cache_shards: 16,
@@ -100,266 +93,17 @@ impl Default for ServerConfig {
     }
 }
 
-/// State shared between the acceptor, the workers, and the Prometheus
-/// listener.
-struct Shared {
-    state: ServerState,
-    queue: Mutex<VecDeque<TcpStream>>,
-    available: Condvar,
-    shutdown: AtomicBool,
-    queue_capacity: usize,
-    read_timeout: Duration,
-    retry_after_ms: u64,
-    prom_addr: Mutex<Option<SocketAddr>>,
-}
-
-impl Shared {
-    /// Raises the shutdown flag and wakes everyone blocked on the
-    /// queue, plus the Prometheus listener when one is running.
-    fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // The lock round-trip orders the flag store against workers
-        // about to sleep on the condvar.
-        drop(self.queue.lock().expect("queue poisoned"));
-        self.available.notify_all();
-        if let Some(addr) = *self.prom_addr.lock().expect("prom addr poisoned") {
-            wake_acceptor(addr);
-        }
-    }
-}
-
-/// A running server; dropping the handle does NOT stop it — call
-/// [`ServerHandle::shutdown`] or send a `shutdown` request and
-/// [`ServerHandle::join`].
-pub struct ServerHandle {
-    addr: SocketAddr,
-    prom_addr: Option<SocketAddr>,
-    shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    prom: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    persist_path: Option<PathBuf>,
-}
-
-impl std::fmt::Debug for ServerHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerHandle")
-            .field("addr", &self.addr)
-            .field("workers", &self.workers.len())
-            .finish()
-    }
-}
-
-impl ServerHandle {
-    /// The bound address (with the OS-chosen port when the config asked
-    /// for port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The bound Prometheus HTTP address, when `prom_addr` was
-    /// configured.
-    pub fn prom_addr(&self) -> Option<SocketAddr> {
-        self.prom_addr
-    }
-
-    /// Initiates a graceful drain (as if a `shutdown` request arrived)
-    /// and waits for every thread to exit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cache persistence failures; thread panics surface as
-    /// [`std::io::ErrorKind::Other`].
-    pub fn shutdown(mut self) -> std::io::Result<()> {
-        self.shared.begin_shutdown();
-        wake_acceptor(self.addr);
-        self.join_inner()
-    }
-
-    /// Waits for the server to drain after an external `shutdown`
-    /// request, then persists the cache when configured.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ServerHandle::shutdown`].
-    pub fn join(mut self) -> std::io::Result<()> {
-        self.join_inner()
-    }
-
-    fn join_inner(&mut self) -> std::io::Result<()> {
-        if let Some(acceptor) = self.acceptor.take() {
-            acceptor
-                .join()
-                .map_err(|_| std::io::Error::other("acceptor thread panicked"))?;
-        }
-        if let Some(prom) = self.prom.take() {
-            // The begin_shutdown wake-up may have raced the flag; nudge
-            // the listener again now that shutdown is certainly set.
-            if let Some(addr) = self.prom_addr {
-                wake_acceptor(addr);
-            }
-            prom.join()
-                .map_err(|_| std::io::Error::other("prom thread panicked"))?;
-        }
-        for worker in self.workers.drain(..) {
-            worker
-                .join()
-                .map_err(|_| std::io::Error::other("worker thread panicked"))?;
-        }
-        if let Some(path) = &self.persist_path {
-            self.shared.state.cache.save_to(path)?;
-        }
-        Ok(())
-    }
-}
-
 /// Unblocks a `TcpListener::accept` by completing one loopback
-/// connection; the acceptor rechecks the shutdown flag afterwards.
+/// connection; the listener rechecks its shutdown flag afterwards.
 pub(crate) fn wake_acceptor(addr: SocketAddr) {
     let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
-}
-
-/// Wires the trace-log span exporter into `telemetry` when the config
-/// asks for one: every finished span appends one JSONL line to a
-/// rotating log (shared by the threaded and event cores).
-pub(crate) fn attach_trace_log(
-    telemetry: &mut Telemetry,
-    config: &ServerConfig,
-) -> std::io::Result<()> {
-    if let Some(path) = &config.trace_log {
-        let log = JsonlLog::open(path.clone(), config.trace_log_max_bytes)?;
-        telemetry.spans = Some(Box::new(SpanWriter::new(Arc::new(log))));
-    }
-    Ok(())
-}
-
-/// Binds the listener and spawns the acceptor plus worker threads.
-///
-/// # Errors
-///
-/// Propagates bind failures. A configured persistence file that does
-/// not exist yet is not an error (first run).
-pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    let cache = EnumCache::with_shards(config.cache_shards.max(1), config.cache_capacity.max(1));
-    if let Some(path) = &config.persist_path {
-        if path.exists() {
-            cache.load_from(path)?;
-        }
-    }
-    let mut telemetry = match &config.slow_log {
-        Some(path) => Telemetry::with_slow_log(
-            path.clone(),
-            config.slow_threshold,
-            config.slow_log_max_bytes,
-        )?,
-        None => Telemetry::default(),
-    };
-    attach_trace_log(&mut telemetry, &config)?;
-    let prom_listener = config
-        .prom_addr
-        .as_deref()
-        .map(TcpListener::bind)
-        .transpose()?;
-    let prom_addr = prom_listener
-        .as_ref()
-        .map(TcpListener::local_addr)
-        .transpose()?;
-    let shared = Arc::new(Shared {
-        state: ServerState::with_telemetry(cache, config.budget, telemetry, config.observe),
-        queue: Mutex::new(VecDeque::new()),
-        available: Condvar::new(),
-        shutdown: AtomicBool::new(false),
-        queue_capacity: config.queue_capacity.max(1),
-        read_timeout: config.read_timeout,
-        retry_after_ms: 50,
-        prom_addr: Mutex::new(prom_addr),
-    });
-
-    let workers = (0..config.workers.max(1))
-        .map(|i| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("samm-serve-worker-{i}"))
-                .spawn(move || worker_loop(&shared, addr))
-        })
-        .collect::<std::io::Result<Vec<_>>>()?;
-
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("samm-serve-acceptor".to_owned())
-            .spawn(move || acceptor_loop(&listener, &shared))?
-    };
-
-    let prom = prom_listener
-        .map(|listener| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("samm-serve-prom".to_owned())
-                .spawn(move || prom_loop(&listener, &shared))
-        })
-        .transpose()?;
-
-    Ok(ServerHandle {
-        addr,
-        prom_addr,
-        shared,
-        acceptor: Some(acceptor),
-        prom,
-        workers,
-        persist_path: config.persist_path,
-    })
-}
-
-fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => continue,
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // The wake-up connection (or a late client); drop it and
-            // stop accepting. Workers drain whatever is queued.
-            return;
-        }
-        let mut queue = shared.queue.lock().expect("queue poisoned");
-        if queue.len() >= shared.queue_capacity {
-            drop(queue);
-            shared
-                .state
-                .counters
-                .overloaded
-                .fetch_add(1, Ordering::Relaxed);
-            reject_overloaded(stream, shared.retry_after_ms);
-        } else {
-            queue.push_back(stream);
-            let depth = queue.len() as u64;
-            drop(queue);
-            shared
-                .state
-                .telemetry
-                .queue_depth
-                .store(depth, Ordering::Relaxed);
-            shared.available.notify_one();
-        }
-    }
 }
 
 /// Serves the Prometheus text exposition over bare HTTP/1.0: reads one
 /// request head, answers `GET /metrics` (and `GET /`) with the current
 /// exposition, anything else with 404, then closes. One connection at a
 /// time — scrapes are rare and the render is cheap.
-fn prom_loop(listener: &TcpListener, shared: &Shared) {
-    prom_loop_shared(listener, &shared.state, || {
-        shared.shutdown.load(Ordering::SeqCst)
-    });
-}
-
-/// The same accept-and-serve loop over any server core's state; the
-/// event-loop core reuses it with its own shutdown flag.
-pub(crate) fn prom_loop_shared(
+pub(crate) fn prom_loop(
     listener: &TcpListener,
     state: &ServerState,
     is_shutdown: impl Fn() -> bool,
@@ -376,7 +120,7 @@ pub(crate) fn prom_loop_shared(
     }
 }
 
-pub(crate) fn serve_prom_http(state: &ServerState, stream: TcpStream) {
+fn serve_prom_http(state: &ServerState, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
     let mut writer = match stream.try_clone() {
@@ -414,100 +158,4 @@ pub(crate) fn serve_prom_http(state: &ServerState, stream: TcpStream) {
         body.len()
     );
     let _ = writer.flush();
-}
-
-/// Answers an over-capacity connection with a structured `overloaded`
-/// error (including the retry hint) and closes it.
-pub(crate) fn reject_overloaded(mut stream: TcpStream, retry_after_ms: u64) {
-    let mut err = ServiceError::new(
-        ErrorKind::Overloaded,
-        "connection queue full; retry after the hinted delay",
-    );
-    err.retry_after_ms = Some(retry_after_ms);
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = writeln!(stream, "{}", err.to_response());
-}
-
-fn worker_loop(shared: &Shared, addr: SocketAddr) {
-    loop {
-        let stream = {
-            let mut queue = shared.queue.lock().expect("queue poisoned");
-            loop {
-                if let Some(stream) = queue.pop_front() {
-                    shared
-                        .state
-                        .telemetry
-                        .queue_depth
-                        .store(queue.len() as u64, Ordering::Relaxed);
-                    break Some(stream);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                queue = shared.available.wait(queue).expect("queue poisoned");
-            }
-        };
-        let Some(stream) = stream else { return };
-        serve_connection(shared, stream, addr);
-    }
-}
-
-/// Serves one connection until EOF, timeout, fatal I/O error, or a
-/// `shutdown` request.
-fn serve_connection(shared: &Shared, stream: TcpStream, addr: SocketAddr) {
-    // One-line responses must leave immediately; Nagle + delayed ACK
-    // otherwise adds ~40 ms per round trip on loopback.
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.read_timeout));
-    let _ = stream.set_write_timeout(Some(shared.read_timeout));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // EOF
-            Ok(_) => {}
-            Err(_) => return, // timeout or reset: close
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let response = match parse_envelope(trimmed) {
-            Ok(envelope) => {
-                // handle_envelope honours the fwd marker and propagates
-                // the trace context, so the threaded core traces (and
-                // clusters) identically to the event core.
-                let response = handler::handle_envelope(&shared.state, &envelope);
-                if envelope.request == Request::Shutdown {
-                    let _ = write_response(&mut writer, &response);
-                    shared.begin_shutdown();
-                    wake_acceptor(addr);
-                    return;
-                }
-                response
-            }
-            Err(err) => {
-                // Count the attempt too: `requests` tracks lines seen.
-                shared
-                    .state
-                    .counters
-                    .requests
-                    .fetch_add(1, Ordering::Relaxed);
-                handler::error_response(&shared.state, &err)
-            }
-        };
-        if write_response(&mut writer, &response).is_err() {
-            return;
-        }
-    }
-}
-
-fn write_response(writer: &mut TcpStream, response: &Json) -> std::io::Result<()> {
-    writeln!(writer, "{response}")?;
-    writer.flush()
 }

@@ -9,7 +9,6 @@
 //! on demand by [`Telemetry::render_prom`] and validated end to end by
 //! [`samm_core::telemetry::prom::check`] in CI.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -24,7 +23,6 @@ use samm_core::telemetry::{
     RequestIdGen, LATENCY_LE_NANOS,
 };
 
-use crate::cluster::ClusterSnapshot;
 use crate::json::Json;
 use crate::protocol::Request;
 
@@ -49,10 +47,6 @@ pub const ROBUST_VERDICT_NAMES: [&str; 3] = ["robust", "cycle", "unknown"];
 /// nanoseconds): powers of two up to [`crate::protocol::MAX_BATCH`].
 pub const BATCH_SIZE_LE: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 
-/// `le` bounds of the `samm_forward_hops` histogram: the `fwd` marker
-/// caps forwarding at one hop, so 0/1 covers every possible value.
-pub const FORWARD_HOPS_LE: [u64; 2] = [0, 1];
-
 /// Index into [`KIND_NAMES`] for a request, or `None` for
 /// monitoring/control kinds.
 pub fn kind_index(request: &Request) -> Option<usize> {
@@ -63,52 +57,8 @@ pub fn kind_index(request: &Request) -> Option<usize> {
         Request::Refutation { .. } => Some(3),
         Request::Certify { .. } => Some(4),
         Request::Batch(_) => Some(5),
-        Request::Metrics | Request::MetricsCluster | Request::MetricsProm | Request::Shutdown => {
-            None
-        }
+        Request::Metrics | Request::MetricsProm | Request::Shutdown => None,
     }
-}
-
-/// Renders a [`HistogramSnapshot`] as its wire object —
-/// `{"count":..,"sum":..,"max":..,"buckets":[..]}` — the shape
-/// `metrics_cluster` ships between nodes so the aggregator can rebuild
-/// and merge exact snapshots.
-pub fn snapshot_to_json(snap: &HistogramSnapshot) -> Json {
-    Json::obj([
-        ("count", Json::num(snap.count as f64)),
-        ("sum", Json::num(snap.sum as f64)),
-        ("max", Json::num(snap.max as f64)),
-        (
-            "buckets",
-            Json::Arr(
-                snap.buckets
-                    .iter()
-                    .map(|b| Json::num(*b as f64))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
-    ])
-}
-
-/// Parses the wire object written by [`snapshot_to_json`]. Returns
-/// `None` for anything malformed — a peer running a different build
-/// degrades to "not merged", never a crash.
-pub fn snapshot_from_json(value: &Json) -> Option<HistogramSnapshot> {
-    let count = value.get("count")?.as_u64()?;
-    let sum = value.get("sum")?.as_u64()?;
-    let max = value.get("max")?.as_u64()?;
-    let buckets = value
-        .get("buckets")?
-        .as_arr()?
-        .iter()
-        .map(|b| b.as_u64())
-        .collect::<Option<Vec<u64>>>()?;
-    Some(HistogramSnapshot {
-        count,
-        sum,
-        max,
-        buckets,
-    })
 }
 
 /// How a request was answered, for counter/histogram labeling.
@@ -212,7 +162,7 @@ pub struct Telemetry {
     pub monitoring: AtomicU64,
     /// Completed-request rate window (non-monitoring).
     pub rate: RateCounter,
-    /// Connections currently queued waiting for a worker.
+    /// Parsed request lines waiting for a handler worker.
     pub queue_depth: AtomicU64,
     /// Aggregated closure-rule / candidate counters folded from every
     /// fresh enumeration's [`samm_core::obs::ObsStats`].
@@ -233,17 +183,9 @@ pub struct Telemetry {
     pub last_slow_id: Mutex<Option<String>>,
     /// Sub-requests per `batch` envelope (plain values, not nanos).
     pub batch_sizes: Histogram,
-    /// Cluster hops taken to answer an enumerate (0 = owned locally).
-    pub forward_hops: Histogram,
-    /// Requests forwarded to the owning peer and answered by it.
-    pub forwards_ok: AtomicU64,
-    /// Forwards that failed over to local execution (peer unreachable).
-    pub forward_fallbacks: AtomicU64,
     /// Enumerations that waited on an identical in-flight query instead
     /// of running their own (single-flight de-duplication).
     pub singleflight_waits: AtomicU64,
-    /// Forwarded-request tallies per peer node id.
-    pub peer_forwards: Mutex<BTreeMap<String, u64>>,
     /// Per-event-loop gauges, registered by the event-loop core.
     pub loops: Mutex<Vec<Arc<LoopGauges>>>,
     /// Slow-query log, when configured.
@@ -252,19 +194,6 @@ pub struct Telemetry {
     /// `None` keeps the request path span-free unless a client sends a
     /// `trace` context (ids still propagate then, unrecorded).
     pub spans: Option<Box<dyn SpanSink>>,
-    /// Fleet view cached from the most recent `metrics_cluster`
-    /// fan-out, keyed by node id. Backs the `node`-labelled Prometheus
-    /// families; empty (families omitted) until the first fan-out.
-    pub fleet: Mutex<BTreeMap<String, FleetSample>>,
-}
-
-/// One node's contribution to the cached fleet view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetSample {
-    /// Whether the node answered the most recent fan-out.
-    pub up: bool,
-    /// Latency-tracked requests the node reported.
-    pub requests: u64,
 }
 
 /// Live gauges for one event loop, updated by the loop thread and read
@@ -301,29 +230,16 @@ impl Telemetry {
             slow_total: AtomicU64::new(0),
             last_slow_id: Mutex::new(None),
             batch_sizes: Histogram::default(),
-            forward_hops: Histogram::default(),
-            forwards_ok: AtomicU64::new(0),
-            forward_fallbacks: AtomicU64::new(0),
             singleflight_waits: AtomicU64::new(0),
-            peer_forwards: Mutex::new(BTreeMap::new()),
             loops: Mutex::new(Vec::new()),
             slow,
             spans: None,
-            fleet: Mutex::new(BTreeMap::new()),
         }
     }
 
     /// The span sink, when tracing is configured.
     pub fn span_sink(&self) -> Option<&dyn SpanSink> {
         self.spans.as_deref()
-    }
-
-    /// Replaces the cached fleet view with `samples` (one
-    /// `metrics_cluster` fan-out's worth).
-    pub fn update_fleet(&self, samples: impl IntoIterator<Item = (String, FleetSample)>) {
-        let mut fleet = self.fleet.lock().expect("fleet poisoned");
-        fleet.clear();
-        fleet.extend(samples);
     }
 
     /// Registers one event loop's gauges; the returned handle is shared
@@ -335,17 +251,6 @@ impl Telemetry {
             .expect("loop gauges poisoned")
             .push(Arc::clone(&gauges));
         gauges
-    }
-
-    /// Counts one request forwarded to (and answered by) `peer`.
-    pub fn note_forward(&self, peer: &str) {
-        self.forwards_ok.fetch_add(1, Ordering::Relaxed);
-        *self
-            .peer_forwards
-            .lock()
-            .expect("peer forwards poisoned")
-            .entry(peer.to_owned())
-            .or_insert(0) += 1;
     }
 
     /// Opens a rotating slow-query JSONL log at `path`.
@@ -444,11 +349,6 @@ impl Telemetry {
         }
     }
 
-    /// Latency-tracked requests completed so far (all kinds/outcomes).
-    pub fn requests_total(&self) -> u64 {
-        self.kinds.iter().map(KindTelemetry::total).sum()
-    }
-
     /// The `telemetry` section of the JSON `metrics` response: uptime,
     /// rates, queue depth, per-kind quantiles, and aggregate counters —
     /// everything `samm-top` renders.
@@ -537,17 +437,14 @@ impl Telemetry {
     }
 
     /// Renders the full Prometheus text exposition. `overloaded` is the
-    /// acceptor's rejection counter; `cache` the enumeration cache's
-    /// global stats and `shards` its per-shard breakdown; `cluster` the
-    /// membership view when serving in cluster mode (cluster-labelled
-    /// families are omitted otherwise, as are per-loop gauges on the
-    /// threaded core and per-peer counters before the first forward).
+    /// connection-limit rejection counter; `cache` the enumeration
+    /// cache's global stats and `shards` its per-shard breakdown.
+    /// Per-loop gauges are omitted until an event loop registers.
     pub fn render_prom(
         &self,
         overloaded: u64,
         cache: &CacheStats,
         shards: &[ShardStats],
-        cluster: Option<&ClusterSnapshot>,
     ) -> String {
         use samm_core::telemetry::prom::PromText;
         let mut prom = PromText::new();
@@ -579,12 +476,12 @@ impl Telemetry {
         );
         prom.counter(
             "samm_overloaded_total",
-            "Connections rejected because the accept queue was full.",
+            "Connections rejected at the max_connections limit.",
             &[(&[], overloaded as f64)],
         );
         prom.gauge(
             "samm_queue_depth",
-            "Accepted connections waiting for a worker.",
+            "Parsed request lines waiting for a handler worker.",
             &[(&[], self.queue_depth.load(Ordering::Relaxed) as f64)],
         );
         prom.gauge(
@@ -683,7 +580,7 @@ impl Telemetry {
             }
         }
 
-        // Batch envelopes and cluster forwarding.
+        // Batch envelopes and single-flight de-duplication.
         let batch_snap = self.batch_sizes.snapshot();
         prom.histogram_values(
             "samm_batch_size",
@@ -691,50 +588,12 @@ impl Telemetry {
             &BATCH_SIZE_LE,
             &[(&[], &batch_snap)],
         );
-        let hops_snap = self.forward_hops.snapshot();
-        prom.histogram_values(
-            "samm_forward_hops",
-            "Cluster hops taken to answer an enumerate (0 = owned locally).",
-            &FORWARD_HOPS_LE,
-            &[(&[], &hops_snap)],
-        );
-        prom.counter(
-            "samm_forwards_total",
-            "Requests forwarded to the owning peer and answered by it.",
-            &[(&[], self.forwards_ok.load(Ordering::Relaxed) as f64)],
-        );
-        prom.counter(
-            "samm_forward_fallbacks_total",
-            "Forwards that failed over to local execution (peer unreachable).",
-            &[(&[], self.forward_fallbacks.load(Ordering::Relaxed) as f64)],
-        );
         prom.counter(
             "samm_singleflight_waits_total",
             "Enumerations that waited on an identical in-flight query.",
             &[(&[], self.singleflight_waits.load(Ordering::Relaxed) as f64)],
         );
-        let peer_forwards = self
-            .peer_forwards
-            .lock()
-            .expect("peer forwards poisoned")
-            .clone();
-        if !peer_forwards.is_empty() {
-            let series: Vec<(Vec<(&str, &str)>, f64)> = peer_forwards
-                .iter()
-                .map(|(peer, count)| (vec![("peer", peer.as_str())], *count as f64))
-                .collect();
-            let borrowed: Vec<(&[(&str, &str)], f64)> = series
-                .iter()
-                .map(|(labels, v)| (labels.as_slice(), *v))
-                .collect();
-            prom.counter(
-                "samm_peer_forwards_total",
-                "Requests forwarded, by destination peer.",
-                &borrowed,
-            );
-        }
-
-        // Per-event-loop gauges (absent on the threaded core).
+        // Per-event-loop gauges (absent until a loop registers).
         let loops = self.loops.lock().expect("loop gauges poisoned").clone();
         if !loops.is_empty() {
             let loop_labels: Vec<String> = (0..loops.len()).map(|i| i.to_string()).collect();
@@ -762,56 +621,6 @@ impl Telemetry {
                     .collect();
                 prom.gauge(name, help, &borrowed);
             }
-        }
-
-        // Fleet view (absent until the first metrics_cluster fan-out).
-        let fleet = self.fleet.lock().expect("fleet poisoned").clone();
-        if !fleet.is_empty() {
-            let up: Vec<(Vec<(&str, &str)>, f64)> = fleet
-                .iter()
-                .map(|(node, s)| (vec![("node", node.as_str())], if s.up { 1.0 } else { 0.0 }))
-                .collect();
-            let borrowed: Vec<(&[(&str, &str)], f64)> =
-                up.iter().map(|(l, v)| (l.as_slice(), *v)).collect();
-            prom.gauge(
-                "samm_fleet_node_up",
-                "Whether the node answered the last metrics_cluster fan-out.",
-                &borrowed,
-            );
-            let requests: Vec<(Vec<(&str, &str)>, f64)> = fleet
-                .iter()
-                .map(|(node, s)| (vec![("node", node.as_str())], s.requests as f64))
-                .collect();
-            let borrowed: Vec<(&[(&str, &str)], f64)> =
-                requests.iter().map(|(l, v)| (l.as_slice(), *v)).collect();
-            prom.gauge(
-                "samm_fleet_node_requests",
-                "Requests each node reported in the last metrics_cluster fan-out.",
-                &borrowed,
-            );
-        }
-
-        // Cluster membership (absent outside cluster mode).
-        if let Some(snapshot) = cluster {
-            prom.gauge(
-                "samm_cluster_self_info",
-                "This node's id (always 1; the id is the label).",
-                &[(&[("node", snapshot.self_id.as_str())], 1.0)],
-            );
-            let series: Vec<(Vec<(&str, &str)>, f64)> = snapshot
-                .nodes
-                .iter()
-                .map(|(id, alive)| (vec![("node", id.as_str())], if *alive { 1.0 } else { 0.0 }))
-                .collect();
-            let borrowed: Vec<(&[(&str, &str)], f64)> = series
-                .iter()
-                .map(|(labels, v)| (labels.as_slice(), *v))
-                .collect();
-            prom.gauge(
-                "samm_cluster_node_up",
-                "Cluster member liveness under this node's view (1 = alive).",
-                &borrowed,
-            );
         }
 
         let obs = self.obs_agg.snapshot();
@@ -929,26 +738,7 @@ mod tests {
         telemetry.record_robust_verdict("cycle");
         telemetry.record_robust_verdict("robust");
         telemetry.batch_sizes.record(3);
-        telemetry.forward_hops.record(0);
-        telemetry.forward_hops.record(1);
-        telemetry.note_forward("node-b");
         telemetry.singleflight_waits.fetch_add(2, Ordering::Relaxed);
-        telemetry.update_fleet([
-            (
-                "node-a".to_owned(),
-                FleetSample {
-                    up: true,
-                    requests: 12,
-                },
-            ),
-            (
-                "node-b".to_owned(),
-                FleetSample {
-                    up: false,
-                    requests: 0,
-                },
-            ),
-        ]);
         let gauges = telemetry.register_loop();
         gauges.connections.fetch_add(4, Ordering::Relaxed);
         let shards = vec![
@@ -963,11 +753,7 @@ mod tests {
                 misses: 3,
             },
         ];
-        let snapshot = ClusterSnapshot {
-            self_id: "node-a".to_owned(),
-            nodes: vec![("node-a".to_owned(), true), ("node-b".to_owned(), false)],
-        };
-        let text = telemetry.render_prom(7, &CacheStats::default(), &shards, Some(&snapshot));
+        let text = telemetry.render_prom(7, &CacheStats::default(), &shards);
         let summary = prom::check(&text).expect("valid exposition");
         for family in [
             "samm_requests_total",
@@ -980,17 +766,9 @@ mod tests {
             "samm_cache_shard_hits_total",
             "samm_cache_shard_misses_total",
             "samm_batch_size",
-            "samm_forward_hops",
-            "samm_forwards_total",
-            "samm_forward_fallbacks_total",
             "samm_singleflight_waits_total",
-            "samm_peer_forwards_total",
-            "samm_fleet_node_up",
-            "samm_fleet_node_requests",
             "samm_loop_connections",
             "samm_loop_inflight",
-            "samm_cluster_self_info",
-            "samm_cluster_node_up",
             "samm_closure_rule_applications_total",
             "samm_robust_verdicts_total",
             "samm_slow_queries_total",
@@ -1000,44 +778,11 @@ mod tests {
         }
         assert!(text.contains("samm_overloaded_total 7"));
         assert!(text.contains("samm_cache_shard_hits_total{shard=\"0\"} 5"));
-        assert!(text.contains("samm_peer_forwards_total{peer=\"node-b\"} 1"));
-        assert!(text.contains("samm_cluster_node_up{node=\"node-b\"} 0"));
+        assert!(text.contains("samm_singleflight_waits_total 2"));
         assert!(text.contains("samm_loop_connections{loop=\"0\"} 4"));
         assert!(text.contains("samm_batch_size_count 1"));
         assert!(text.contains("samm_robust_verdicts_total{verdict=\"robust\"} 2"));
         assert!(text.contains("samm_robust_verdicts_total{verdict=\"cycle\"} 1"));
-        assert!(text.contains("samm_fleet_node_requests{node=\"node-a\"} 12"));
-        assert!(text.contains("samm_fleet_node_up{node=\"node-b\"} 0"));
-    }
-
-    #[test]
-    fn histogram_snapshots_round_trip_through_json() {
-        let histogram = Histogram::default();
-        for v in [1u64, 700, 700, 9_000, 1_000_000] {
-            histogram.record(v);
-        }
-        let snap = histogram.snapshot();
-        let rendered = snapshot_to_json(&snap).to_string();
-        let parsed =
-            snapshot_from_json(&crate::json::parse(&rendered).unwrap()).expect("round trip");
-        assert_eq!(parsed, snap);
-        // Merging two round-tripped snapshots matches merging the originals.
-        let mut merged = parsed.clone();
-        merged.merge(&snap);
-        assert_eq!(merged.count, 2 * snap.count);
-        assert_eq!(merged.sum, 2 * snap.sum);
-        // Malformed shapes degrade to None.
-        for bad in [
-            r#"{"count":1,"sum":2}"#,
-            r#"{"count":1,"sum":2,"max":3,"buckets":"x"}"#,
-            r#"{"count":1,"sum":2,"max":3,"buckets":[1,"x"]}"#,
-            r#"[]"#,
-        ] {
-            assert!(
-                snapshot_from_json(&crate::json::parse(bad).unwrap()).is_none(),
-                "{bad}"
-            );
-        }
     }
 
     #[test]

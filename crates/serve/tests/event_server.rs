@@ -9,10 +9,9 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use samm_serve::client::Client;
-use samm_serve::event_loop::{self, EventConfig};
 use samm_serve::json::Json;
-use samm_serve::server::ServerConfig;
 use samm_serve::sys::PollerKind;
+use samm_serve::{start, ServerConfig};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -30,7 +29,7 @@ fn ok(response: &Json) -> bool {
 
 #[test]
 fn every_request_kind_round_trips_on_the_event_core() {
-    let handle = event_loop::start(test_config(), EventConfig::default()).unwrap();
+    let handle = start(test_config()).unwrap();
     let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
     for line in [
         r#"{"kind":"enumerate","test":"SB","model":"TSO"}"#,
@@ -57,7 +56,7 @@ fn every_request_kind_round_trips_on_the_event_core() {
 
 #[test]
 fn pipelined_requests_are_answered_out_of_order_by_id() {
-    let handle = event_loop::start(test_config(), EventConfig::default()).unwrap();
+    let handle = start(test_config()).unwrap();
     let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
 
     // Fire the whole pipeline before reading anything: a heavy cold
@@ -113,7 +112,7 @@ fn pipelined_requests_are_answered_out_of_order_by_id() {
 
 #[test]
 fn batch_round_trips_over_the_wire() {
-    let handle = event_loop::start(test_config(), EventConfig::default()).unwrap();
+    let handle = start(test_config()).unwrap();
     let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
     let response = client
         .request_raw(
@@ -147,13 +146,10 @@ fn wire_shutdown_drains_and_persists_the_cache() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("cache.samm");
 
-    let handle = event_loop::start(
-        ServerConfig {
-            persist_path: Some(path.clone()),
-            ..test_config()
-        },
-        EventConfig::default(),
-    )
+    let handle = start(ServerConfig {
+        persist_path: Some(path.clone()),
+        ..test_config()
+    })
     .unwrap();
     let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
     let cold = client
@@ -166,13 +162,10 @@ fn wire_shutdown_drains_and_persists_the_cache() {
     assert!(path.exists(), "drain must persist the cache");
 
     // A restarted event server answers from the persisted cache.
-    let handle = event_loop::start(
-        ServerConfig {
-            persist_path: Some(path.clone()),
-            ..test_config()
-        },
-        EventConfig::default(),
-    )
+    let handle = start(ServerConfig {
+        persist_path: Some(path.clone()),
+        ..test_config()
+    })
     .unwrap();
     let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
     let warm = client
@@ -187,14 +180,11 @@ fn wire_shutdown_drains_and_persists_the_cache() {
 
 #[test]
 fn poll_backend_and_multiple_loops_serve_correctly() {
-    let handle = event_loop::start(
-        test_config(),
-        EventConfig {
-            loops: 2,
-            poller: PollerKind::Poll,
-            ..EventConfig::default()
-        },
-    )
+    let handle = start(ServerConfig {
+        loops: 2,
+        poller: PollerKind::Poll,
+        ..test_config()
+    })
     .unwrap();
     // Several connections so both loops own some.
     let mut clients: Vec<Client> = (0..4)
@@ -217,34 +207,45 @@ fn poll_backend_and_multiple_loops_serve_correctly() {
 
 #[test]
 fn max_connections_rejects_with_the_overloaded_error() {
-    let handle = event_loop::start(
-        test_config(),
-        EventConfig {
-            max_connections: 2,
-            ..EventConfig::default()
-        },
-    )
+    let handle = start(ServerConfig {
+        max_connections: 2,
+        ..test_config()
+    })
     .unwrap();
     let mut a = Client::connect(handle.addr(), TIMEOUT).unwrap();
     let mut b = Client::connect(handle.addr(), TIMEOUT).unwrap();
     assert!(ok(&a.request_raw(r#"{"kind":"metrics"}"#).unwrap()));
     assert!(ok(&b.request_raw(r#"{"kind":"metrics"}"#).unwrap()));
-    // The third connection is rejected with the structured error.
+    // The third connection is rejected with the structured error and
+    // a retry hint. The server writes the rejection unsolicited and
+    // closes, so only read — a write could fail with a broken pipe
+    // before the line is consumed.
     let mut rejected = Client::connect(handle.addr(), TIMEOUT).unwrap();
     let overloaded = rejected.read_response().unwrap();
+    let error = overloaded.get("error");
     assert_eq!(
-        overloaded
-            .get("error")
-            .and_then(|e| e.get("kind"))
-            .and_then(Json::as_str),
+        error.and_then(|e| e.get("kind")).and_then(Json::as_str),
         Some("overloaded"),
         "{overloaded}"
     );
-    // Freeing a slot lets new connections in again.
+    assert!(
+        error
+            .and_then(|e| e.get("retry_after_ms"))
+            .and_then(Json::as_u64)
+            .is_some(),
+        "{overloaded}"
+    );
+    // Freeing a slot lets new connections in again, and the rejection
+    // shows in the metrics.
     drop(a);
     std::thread::sleep(Duration::from_millis(100));
     let mut c = Client::connect(handle.addr(), TIMEOUT).unwrap();
-    assert!(ok(&c.request_raw(r#"{"kind":"metrics"}"#).unwrap()));
+    let metrics = c.request_raw(r#"{"kind":"metrics"}"#).unwrap();
+    assert!(ok(&metrics), "{metrics}");
+    assert!(
+        metrics.get("overloaded").and_then(Json::as_u64).unwrap() >= 1,
+        "{metrics}"
+    );
     drop(b);
     drop(c);
     handle.shutdown().unwrap();

@@ -6,15 +6,22 @@
 //! SC ⊆ TSO ⊆ PSO ⊆ Weak ⊆ Weak+spec
 //! ```
 //!
-//! must hold on every program. Naive TSO sits strictly *inside* real TSO
-//! on bypass-dependent programs (Figure 11 center) — it is not part of the
+//! holds on the whole catalog and on the seeded random corpus below.
+//! It is not a theorem for every program: the `PSO ⊆ Weak` link fails
+//! on store→load-forwarding programs. PSO's table lets a load bypass a
+//! pending same-address store and read its value early; Weak's table
+//! orders that load after the store, so a value forwarded to another
+//! location under PSO can become visible before its source store, which
+//! Weak forbids. `pso_forwarding_escapes_weak` pins the smallest known
+//! such program. Naive TSO sits strictly *inside* real TSO on
+//! bypass-dependent programs (Figure 11 center) — it is not part of the
 //! chain.
 
 use samm::core::enumerate::{enumerate, EnumConfig};
 use samm::core::outcome::OutcomeSet;
 use samm::litmus::catalog;
 use samm::litmus::rand_prog::{corpus, RandConfig};
-use samm::litmus::ModelSel;
+use samm::litmus::{LitmusBuilder, ModelSel};
 
 fn config() -> EnumConfig {
     EnumConfig {
@@ -110,4 +117,45 @@ fn strict_inclusions_are_witnessed_somewhere() {
             ModelSel::CHAIN[i + 1].name()
         );
     }
+}
+
+/// The counterexample to `PSO ⊆ Weak`:
+///
+/// ```text
+/// T0: r0=y; fence; r1=y; r2=x  ||  T1: x=1; r0=x; x=2; y=r0
+/// ```
+///
+/// Under PSO, T1's `r0=x` reads 1 straight from its own pending store
+/// and `y=r0` publishes it before `x=1` is visible, so T0 can see
+/// `y=1` twice across its fence and still read the initial `x=0`.
+/// Weak orders `r0=x` after `x=1`, so `y=1` implies `x=1` is visible.
+/// This pins today's semantics; whether Weak should gain a bypass is an
+/// open question.
+#[test]
+fn pso_forwarding_escapes_weak() {
+    let test = LitmusBuilder::new("PSO-forwarding")
+        .thread("T0", |t| {
+            t.load("r0", "y").fence().load("r1", "y").load("r2", "x");
+        })
+        .thread("T1", |t| {
+            t.store("x", 1)
+                .load("r0", "x")
+                .store("x", 2)
+                .store_reg("y", "r0");
+        })
+        .allow(&[("T0", "r0", 1), ("T0", "r1", 1), ("T0", "r2", 0)])
+        .build()
+        .expect("the counterexample compiles");
+    let condition = &test.conditions[0];
+    let observable = |model: ModelSel| {
+        let outcomes = enumerate(&test.program, &model.policy(), &config())
+            .unwrap_or_else(|e| panic!("{}: {e}", model.name()))
+            .outcomes;
+        condition.observable_in(&outcomes)
+    };
+    assert!(observable(ModelSel::Pso), "PSO allows r0=r1=1, r2=0");
+    assert!(!observable(ModelSel::Weak), "Weak forbids r0=r1=1, r2=0");
+    // The outcome needs the bypass: the strict models forbid it too.
+    assert!(!observable(ModelSel::Sc));
+    assert!(!observable(ModelSel::NaiveTso));
 }
