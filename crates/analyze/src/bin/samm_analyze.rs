@@ -33,10 +33,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use samm_analyze::robust::{analyze_static, break_cycles, CriticalCycle, StaticVerdict};
-use samm_core::enumerate::EnumConfig;
+use samm_core::enumerate::{enumerate, EnumConfig};
 use samm_core::instr::Program;
 use samm_core::policy::Policy;
-use samm_core::pruned::enumerate_pruned;
 use samm_litmus::{catalog, catalog::ModelSel, parse};
 
 struct Options {
@@ -182,11 +181,11 @@ fn check_catalog() -> Result<Vec<String>, String> {
     let mut tally = [0usize; 3]; // robust, cycle, unknown
     for entry in catalog::all() {
         let program = &entry.test.program;
-        let sc = enumerate_pruned(program, &Policy::sequential_consistency(), &config)
+        let sc = enumerate(program, &Policy::sequential_consistency(), &config)
             .map_err(|e| format!("{}: SC enumeration failed: {e}", entry.test.name))?;
         for model in ModelSel::CHAIN {
             let policy = model.policy();
-            let oracle = enumerate_pruned(program, &policy, &config)
+            let oracle = enumerate(program, &policy, &config)
                 .map_err(|e| format!("{}: enumeration failed: {e}", entry.test.name))?;
             let equal = oracle.outcomes == sc.outcomes;
             let tag = format!("{} under {}", entry.test.name, model.name());

@@ -477,8 +477,7 @@ mod tests {
 
     #[test]
     fn redundancy_verdicts_match_exhaustive_enumeration() {
-        use samm_core::enumerate::EnumConfig;
-        use samm_core::pruned::enumerate_pruned;
+        use samm_core::enumerate::{enumerate, EnumConfig};
         use samm_litmus::catalog;
         // Every redundant-fence-static claim over the catalog must be
         // backed by enumeration: stripping the fence may not change the
@@ -494,7 +493,7 @@ mod tests {
                 if !matches!(analyze_static(program, &policy), StaticVerdict::Robust(_)) {
                     continue;
                 }
-                let base = enumerate_pruned(program, &policy, &config).unwrap();
+                let base = enumerate(program, &policy, &config).unwrap();
                 for (t, thread) in program.threads().iter().enumerate() {
                     for (i, instr) in thread.instrs().iter().enumerate() {
                         if !matches!(instr, Instr::Fence) || fence_is_dead(thread, &policy, i) {
@@ -505,7 +504,7 @@ mod tests {
                             matches!(analyze_static(&stripped, &policy), StaticVerdict::Robust(_));
                         if redundant {
                             fired += 1;
-                            let after = enumerate_pruned(&stripped, &policy, &config).unwrap();
+                            let after = enumerate(&stripped, &policy, &config).unwrap();
                             assert_eq!(
                                 base.outcomes,
                                 after.outcomes,

@@ -45,13 +45,12 @@
 
 use std::fmt;
 
-use samm_core::enumerate::EnumConfig;
+use samm_core::enumerate::{enumerate, EnumConfig};
 use samm_core::error::EnumError;
 use samm_core::ids::Addr;
 use samm_core::instr::{Program, ThreadProgram};
 use samm_core::outcome::Outcome;
 use samm_core::policy::{OpClass, Policy};
-use samm_core::pruned::enumerate_pruned;
 use samm_core::static_order::{thread_events, StaticEvent, StaticOrder};
 use samm_litmus::ast::CompiledCondition;
 use samm_litmus::fences::{
@@ -237,8 +236,8 @@ impl CriticalCycle {
             keep_executions: false,
             ..config.clone()
         };
-        let weak = enumerate_pruned(program, policy, &config)?;
-        let sc = enumerate_pruned(program, &Policy::sequential_consistency(), &config)?;
+        let weak = enumerate(program, policy, &config)?;
+        let sc = enumerate(program, &Policy::sequential_consistency(), &config)?;
         let witness = weak.outcomes.difference(&sc.outcomes).next().cloned();
         Ok(witness)
     }

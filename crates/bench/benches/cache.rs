@@ -16,7 +16,7 @@ use samm_core::enumerate::{enumerate, EnumConfig};
 use samm_core::fingerprint::query_fingerprint;
 use samm_core::policy::Policy;
 use samm_litmus::catalog;
-use samm_litmus::expect::run_entry_cached;
+use samm_litmus::expect::run_entry_with;
 
 fn config() -> EnumConfig {
     EnumConfig::builder().keep_executions(false).build()
@@ -67,15 +67,15 @@ fn bench_harness(c: &mut Criterion) {
     group.bench_function("cold", |b| {
         b.iter(|| {
             let cache = EnumCache::new(64);
-            let report = run_entry_cached(&entry, &cfg, &cache).expect("runs");
+            let report = run_entry_with(&entry, &cfg, Some(&cache), None).expect("runs");
             std::hint::black_box(report.rows.len())
         });
     });
     let warm = EnumCache::new(64);
-    run_entry_cached(&entry, &cfg, &warm).expect("fills");
+    run_entry_with(&entry, &cfg, Some(&warm), None).expect("fills");
     group.bench_function("warm", |b| {
         b.iter(|| {
-            let report = run_entry_cached(&entry, &cfg, &warm).expect("runs");
+            let report = run_entry_with(&entry, &cfg, Some(&warm), None).expect("runs");
             assert!(report.rows.iter().all(|r| r.cache_hit));
             std::hint::black_box(report.rows.len())
         });

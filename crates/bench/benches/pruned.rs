@@ -1,18 +1,17 @@
 //! E23: prune-before-expand vs the serial oracle on fresh enumeration.
 //!
 //! Benchmarks the catalog mix the `samm-serve` cold path pays for —
-//! fresh `keep_executions(false)` queries — under three engines: the
-//! serial oracle, the prune-before-expand engine, and (for the IRIW
-//! headline number) the E20 configuration both EXPERIMENTS.md tables
-//! quote. The pruned engine's win comes from killing claims on the
+//! fresh `keep_executions(false)` queries — under the serial oracle
+//! ([`enumerate_serial`]) and the production prune-before-expand engine
+//! ([`enumerate`]), plus the IRIW headline pair that both EXPERIMENTS.md
+//! tables quote. The pruned engine's win comes from killing claims on the
 //! dedup fingerprint *before* paying for a fork, plus flat-arena
 //! copy-on-write forks; `samm-prunecheck` gates the same measurement in
 //! CI.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use samm_core::enumerate::{enumerate, EnumConfig};
-use samm_core::pruned::enumerate_pruned;
+use samm_core::enumerate::{enumerate, enumerate_serial, EnumConfig};
 use samm_litmus::{catalog, CatalogEntry, ModelSel};
 
 fn fresh_config() -> EnumConfig {
@@ -45,7 +44,8 @@ fn bench_pruned_vs_serial(c: &mut Criterion) {
             &entry,
             |b, entry| {
                 b.iter(|| {
-                    let r = enumerate(&entry.test.program, &policy, &config).expect("enumerates");
+                    let r = enumerate_serial(&entry.test.program, &policy, &config)
+                        .expect("enumerates");
                     std::hint::black_box((r.outcomes.len(), r.stats.distinct_executions))
                 });
             },
@@ -56,8 +56,7 @@ fn bench_pruned_vs_serial(c: &mut Criterion) {
             &entry,
             |b, entry| {
                 b.iter(|| {
-                    let r = enumerate_pruned(&entry.test.program, &policy, &config)
-                        .expect("enumerates");
+                    let r = enumerate(&entry.test.program, &policy, &config).expect("enumerates");
                     std::hint::black_box((r.outcomes.len(), r.stats.distinct_executions))
                 });
             },
@@ -66,9 +65,8 @@ fn bench_pruned_vs_serial(c: &mut Criterion) {
     group.finish();
 }
 
-/// The E20 headline pair: fresh IRIW under Weak, the configuration whose
-/// 763 µs baseline EXPERIMENTS.md E20 documents and whose pruned
-/// replacement E23 tables.
+/// The E20 headline pair: fresh IRIW under Weak, the configuration
+/// EXPERIMENTS.md E20 and E23 table and `samm-prunecheck` gates.
 fn bench_e20_headline(c: &mut Criterion) {
     let mut group = c.benchmark_group("pruned-e20");
     group.sample_size(50);
@@ -77,13 +75,13 @@ fn bench_e20_headline(c: &mut Criterion) {
     let config = fresh_config();
     group.bench_function("iriw-weak-serial", |b| {
         b.iter(|| {
-            let r = enumerate(&entry.test.program, &policy, &config).expect("enumerates");
+            let r = enumerate_serial(&entry.test.program, &policy, &config).expect("enumerates");
             std::hint::black_box(r.stats.distinct_executions)
         });
     });
     group.bench_function("iriw-weak-pruned", |b| {
         b.iter(|| {
-            let r = enumerate_pruned(&entry.test.program, &policy, &config).expect("enumerates");
+            let r = enumerate(&entry.test.program, &policy, &config).expect("enumerates");
             std::hint::black_box(r.stats.distinct_executions)
         });
     });

@@ -7,8 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use samm_analyze::harness;
 use samm_analyze::robust::{analyze_robustness, analyze_static, break_cycles};
-use samm_core::enumerate::EnumConfig;
-use samm_core::pruned::enumerate_pruned;
+use samm_core::enumerate::{enumerate, EnumConfig};
 use samm_litmus::{catalog, expect, CatalogEntry};
 
 fn fast_config() -> EnumConfig {
@@ -36,9 +35,7 @@ fn bench_certified_vs_fresh(c: &mut Criterion) {
     let mut group = c.benchmark_group("robustness/query");
     group.bench_function(BenchmarkId::new("fresh-pruned", "Weak"), |b| {
         b.iter(|| {
-            std::hint::black_box(
-                enumerate_pruned(program, &weak, &config).expect("enumeration succeeds"),
-            )
+            std::hint::black_box(enumerate(program, &weak, &config).expect("enumeration succeeds"))
         });
     });
     group.bench_function(BenchmarkId::new("robust-certified-cold", "Weak"), |b| {
@@ -46,11 +43,11 @@ fn bench_certified_vs_fresh(c: &mut Criterion) {
         // on top of the static verdict.
         b.iter(|| {
             let verdict = analyze_static(program, &weak);
-            let sc_run = enumerate_pruned(program, &sc, &config).expect("enumeration succeeds");
+            let sc_run = enumerate(program, &sc, &config).expect("enumeration succeeds");
             std::hint::black_box((verdict, sc_run))
         });
     });
-    let sc_run = enumerate_pruned(program, &sc, &config).expect("enumeration succeeds");
+    let sc_run = enumerate(program, &sc, &config).expect("enumeration succeeds");
     group.bench_function(BenchmarkId::new("robust-certified-cached", "Weak"), |b| {
         // Steady state: the SC behaviour set is already cached (the
         // serve cache is content-addressed, and the harness shares one

@@ -69,7 +69,7 @@ fn bench_request_overhead(c: &mut Criterion) {
         test: "IRIW".into(),
         model: "Weak".into(),
         budget: None,
-        engine: EngineSel::Serial,
+        engine: EngineSel::Pruned,
     };
     for (label, observe) in [("observed", true), ("disabled", false)] {
         group.bench_with_input(

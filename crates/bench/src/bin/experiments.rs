@@ -3,9 +3,7 @@
 //!
 //! Run with: `cargo run --release -p samm-bench --bin experiments`
 //!
-//! Flags: `--jobs <n>` sets `EnumConfig::parallelism` for every
-//! experiment (default: `SAMM_JOBS`, else the core count); `--cache
-//! <file>` loads/saves the content-addressed enumeration cache, so a
+//! Flag: `--cache <file>` loads/saves the content-addressed enumeration cache, so a
 //! rerun answers repeated (program, policy, config) queries from disk.
 //! All verdict-matrix experiments share one in-process cache either
 //! way; the cache-summary section at the end reports the hit rate.
@@ -18,9 +16,6 @@ use samm_core::policy::Policy;
 use samm_core::speculation;
 use samm_litmus::{catalog, expect, ModelSel};
 
-/// `--jobs` override, set once in `main`.
-static JOBS: OnceLock<usize> = OnceLock::new();
-
 /// The process-wide content-addressed enumeration cache shared by every
 /// verdict-matrix experiment.
 static CACHE: OnceLock<EnumCache> = OnceLock::new();
@@ -30,11 +25,7 @@ fn cache() -> &'static EnumCache {
 }
 
 fn config() -> EnumConfig {
-    let mut builder = EnumConfig::builder().keep_executions(false);
-    if let Some(&jobs) = JOBS.get() {
-        builder = builder.parallelism(jobs);
-    }
-    builder.build()
+    EnumConfig::builder().keep_executions(false).build()
 }
 
 fn heading(s: &str) {
@@ -63,8 +54,8 @@ fn experiment_figures() {
     let mut pass = 0usize;
     let mut total = 0usize;
     for entry in catalog::paper_figures() {
-        let report =
-            expect::run_entry_cached(&entry, &config(), cache()).expect("enumeration succeeds");
+        let report = expect::run_entry_with(&entry, &config(), Some(cache()), None)
+            .expect("enumeration succeeds");
         println!("\n{report}");
         total += report.rows.len();
         pass += report.rows.iter().filter(|r| r.pass()).count();
@@ -123,8 +114,8 @@ fn experiment_classics() {
         if entry.test.name.starts_with("fig") {
             continue;
         }
-        let report =
-            expect::run_entry_cached(&entry, &config(), cache()).expect("enumeration succeeds");
+        let report = expect::run_entry_with(&entry, &config(), Some(cache()), None)
+            .expect("enumeration succeeds");
         println!("\n{report}");
         total += report.rows.len();
         pass += report.rows.iter().filter(|r| r.pass()).count();
@@ -322,50 +313,6 @@ fn experiment_stats() {
     }
 }
 
-/// E17: the work-stealing parallel enumerator — engine equivalence over
-/// the full catalog, plus wall-clock per worker count.
-fn experiment_parallel() {
-    use std::time::Instant;
-    heading("E17 — work-stealing parallel enumeration (engine equivalence + wall-clock)");
-    let entries = catalog::all();
-    let serial_start = Instant::now();
-    let serial = expect::run_all(&entries, &config()).expect("serial harness succeeds");
-    let serial_time = serial_start.elapsed();
-    println!(
-        "serial:   full catalog ({} entries) in {serial_time:.3?}",
-        entries.len()
-    );
-    for workers in [2, 4, 8] {
-        let par_config = EnumConfig {
-            parallelism: workers,
-            ..config()
-        };
-        let start = Instant::now();
-        let parallel =
-            expect::run_all_parallel(&entries, &par_config).expect("parallel harness succeeds");
-        let elapsed = start.elapsed();
-        let mut rows = 0usize;
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.rows.len(), p.rows.len(), "{}: row count differs", s.name);
-            for (sr, pr) in s.rows.iter().zip(&p.rows) {
-                assert_eq!(
-                    (sr.observed_allowed, sr.outcomes, sr.executions),
-                    (pr.observed_allowed, pr.outcomes, pr.executions),
-                    "{}: engines disagree on `{}`",
-                    s.name,
-                    sr.condition
-                );
-                rows += 1;
-            }
-        }
-        println!(
-            "{workers} workers: full catalog in {elapsed:.3?} ({:.2}x vs serial), all {rows} verdict rows identical",
-            serial_time.as_secs_f64() / elapsed.as_secs_f64()
-        );
-    }
-    println!("(speedup needs multiple cores; on a single-CPU host expect ~1x or below)");
-}
-
 /// Cache summary: what sharing one content-addressed cache across all
 /// verdict-matrix experiments bought this run.
 fn experiment_cache() {
@@ -385,18 +332,6 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--jobs" => {
-                let jobs = args.next().and_then(|v| v.parse::<usize>().ok());
-                match jobs.filter(|&n| n > 0) {
-                    Some(jobs) => {
-                        let _ = JOBS.set(jobs);
-                    }
-                    None => {
-                        eprintln!("experiments: --jobs needs a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--cache" => match args.next() {
                 Some(path) => cache_path = Some(path),
                 None => {
@@ -405,9 +340,7 @@ fn main() {
                 }
             },
             other => {
-                eprintln!(
-                    "experiments: unknown argument '{other}' (flags: --jobs N, --cache FILE)"
-                );
+                eprintln!("experiments: unknown argument '{other}' (flag: --cache FILE)");
                 std::process::exit(2);
             }
         }
@@ -434,7 +367,6 @@ fn main() {
     experiment_coherence();
     experiment_compression();
     experiment_stats();
-    experiment_parallel();
     experiment_cache();
     if let Some(path) = &cache_path {
         match cache().save_to(path) {

@@ -4,15 +4,18 @@
 //! samm-bench-report [--out PATH] [--iters N] [--tests A,B,...]
 //! ```
 //!
-//! Times every engine (serial, work-stealing parallel, and
-//! prune-before-expand) over a fixed set of catalog tests and writes
-//! one JSON report — `BENCH_enum.json` by default — with per-(test,
-//! engine) wall microseconds (min and mean over `--iters` runs, min
-//! being the noise-resistant number CI should trend) plus the verdict
-//! pass flag, so a perf regression and a correctness regression both
-//! surface as a diff in one artifact. The serving-path counterpart is
-//! `samm-load --bench-json` (BENCH_serve.json); together they cover
-//! the two performance planes EXPERIMENTS.md tracks.
+//! Times the production engine ([`enumerate`], prune-before-expand)
+//! against the serial oracle ([`enumerate_serial`]) over a fixed set of
+//! catalog tests — every model each test's verdicts mention, the two
+//! engines interleaved run by run in this one process — and writes one
+//! JSON report, `BENCH_enum.json` by default. Each (test, engine) row
+//! carries wall microseconds (min and mean over `--iters` runs, min
+//! being the noise-resistant number CI should trend) and the verdict
+//! pass flag; each production row also carries `speedup_vs_serial`, the
+//! ratio of the two minima. A perf regression and a correctness
+//! regression both surface as a diff in one artifact. The serving-path
+//! counterpart is `samm-load --bench-json` (BENCH_serve.json); together
+//! they cover the two performance planes EXPERIMENTS.md tracks.
 //!
 //! Exits non-zero when a test name is unknown, an enumeration fails,
 //! or any verdict row mismatches — a bench report over a broken build
@@ -21,12 +24,15 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use samm_core::enumerate::EnumConfig;
+use samm_core::enumerate::{enumerate, enumerate_serial, EnumConfig, EnumResult};
+use samm_core::error::EnumError;
+use samm_core::instr::Program;
+use samm_core::policy::Policy;
 use samm_litmus::catalog::{self, CatalogEntry};
-use samm_litmus::expect::{run_entry, run_entry_parallel, run_entry_pruned, EntryReport};
+use samm_litmus::expect::run_entry;
 use samm_serve::json::Json;
 
-/// Fast classics plus one paper figure: small enough that three
+/// Fast classics plus one paper figure: small enough that two
 /// engines × `--iters` runs stay under a second, varied enough that
 /// the engines' search shapes differ.
 const DEFAULT_TESTS: [&str; 5] = ["SB", "MP", "LB", "IRIW", "fig4"];
@@ -84,64 +90,68 @@ fn main() -> ExitCode {
         }
     }
 
-    type Engine = (
-        &'static str,
-        fn(&CatalogEntry, &EnumConfig) -> Result<EntryReport, samm_core::error::EnumError>,
-    );
-    let engines: [Engine; 3] = [
-        ("serial", run_entry),
-        ("parallel", run_entry_parallel),
-        ("pruned", run_entry_pruned),
-    ];
+    type Engine = fn(&Program, &Policy, &EnumConfig) -> Result<EnumResult, EnumError>;
+    let engines: [(&str, Engine); 2] = [("serial", enumerate_serial), ("pruned", enumerate)];
 
     let config = EnumConfig::default();
     let mut rows = Vec::new();
     println!(
-        "{:<12} {:<10} {:>12} {:>12} {:>6}",
-        "test", "engine", "min us", "mean us", "pass"
+        "{:<12} {:<10} {:>12} {:>12} {:>6} {:>9}",
+        "test", "engine", "min us", "mean us", "pass", "speedup"
     );
     for entry in &entries {
-        for (engine, run) in engines {
-            let mut min_us = f64::INFINITY;
-            let mut sum_us = 0.0;
-            let mut pass = true;
-            for _ in 0..iters {
-                let started = Instant::now();
-                let report = match run(entry, &config) {
-                    Ok(report) => report,
-                    Err(e) => {
-                        eprintln!(
-                            "samm-bench-report: {}/{engine} failed: {e}",
-                            entry.test.name
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let us = started.elapsed().as_secs_f64() * 1e6;
-                min_us = min_us.min(us);
-                sum_us += us;
-                pass &= report.all_pass();
-            }
-            let mean_us = sum_us / iters as f64;
-            println!(
-                "{:<12} {engine:<10} {min_us:>12.1} {mean_us:>12.1} {:>6}",
-                entry.test.name,
-                if pass { "yes" } else { "NO" },
-            );
-            if !pass {
-                eprintln!(
-                    "samm-bench-report: verdict mismatch in {}/{engine}",
-                    entry.test.name
-                );
+        let pass = match run_entry(entry, &config) {
+            Ok(report) => report.all_pass(),
+            Err(e) => {
+                eprintln!("samm-bench-report: {} failed: {e}", entry.test.name);
                 return ExitCode::FAILURE;
             }
-            rows.push(Json::obj([
+        };
+        if !pass {
+            eprintln!("samm-bench-report: verdict mismatch in {}", entry.test.name);
+            return ExitCode::FAILURE;
+        }
+        let policies: Vec<Policy> = entry.models().iter().map(|m| m.policy()).collect();
+        // Per engine: (min, sum) wall microseconds over the whole entry.
+        let mut times = [(f64::INFINITY, 0.0f64); 2];
+        for _ in 0..iters {
+            for (slot, (name, engine)) in engines.iter().enumerate() {
+                let started = Instant::now();
+                for policy in &policies {
+                    if let Err(e) = engine(&entry.test.program, policy, &config) {
+                        eprintln!("samm-bench-report: {}/{name} failed: {e}", entry.test.name);
+                        return ExitCode::FAILURE;
+                    }
+                }
+                let us = started.elapsed().as_secs_f64() * 1e6;
+                times[slot].0 = times[slot].0.min(us);
+                times[slot].1 += us;
+            }
+        }
+        let speedup = times[0].0 / times[1].0;
+        for (slot, (name, _)) in engines.iter().enumerate() {
+            let (min_us, sum_us) = times[slot];
+            let mean_us = sum_us / iters as f64;
+            let shown = if slot == 1 {
+                format!("{speedup:.2}x")
+            } else {
+                String::new()
+            };
+            println!(
+                "{:<12} {name:<10} {min_us:>12.1} {mean_us:>12.1} {:>6} {shown:>9}",
+                entry.test.name, "yes",
+            );
+            let mut row = vec![
                 ("test", Json::str(&entry.test.name)),
-                ("engine", Json::str(engine)),
+                ("engine", Json::str(*name)),
                 ("wall_us_min", Json::num(min_us)),
                 ("wall_us_mean", Json::num(mean_us)),
                 ("pass", Json::Bool(pass)),
-            ]));
+            ];
+            if slot == 1 {
+                row.push(("speedup_vs_serial", Json::num(speedup)));
+            }
+            rows.push(Json::obj(row));
         }
     }
 

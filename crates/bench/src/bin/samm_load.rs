@@ -20,7 +20,7 @@
 //! samm-load [--addr HOST:PORT] [--endpoints A:P,B:P,...]
 //!           [--concurrency N] [--passes N] [--batch N]
 //!           [--subset catalog-small|catalog|figures]
-//!           [--engine serial|parallel] [--prom HOST:PORT]
+//!           [--engine pruned|serial] [--prom HOST:PORT]
 //!           [--trace PATH] [--bench-json PATH] [--shutdown]
 //! ```
 //!
@@ -84,7 +84,7 @@ impl Default for Options {
             passes: 2,
             batch: 1,
             subset: "catalog-small".to_owned(),
-            engine: "serial".to_owned(),
+            engine: "pruned".to_owned(),
             prom: None,
             trace: None,
             bench_json: None,
@@ -98,7 +98,7 @@ fn usage() -> ! {
         "usage: samm-load [--addr HOST:PORT] [--endpoints A:P,B:P,...]\n\
          \x20                [--concurrency N] [--passes N] [--batch N]\n\
          \x20                [--subset catalog-small|catalog|figures]\n\
-         \x20                [--engine serial|parallel] [--prom HOST:PORT]\n\
+         \x20                [--engine pruned|serial] [--prom HOST:PORT]\n\
          \x20                [--trace PATH] [--bench-json PATH] [--shutdown]"
     );
     std::process::exit(2);

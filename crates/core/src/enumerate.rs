@@ -8,6 +8,13 @@
 //!
 //! The result is the complete set of executions — and outcome set — of the
 //! program under the chosen memory model.
+//!
+//! Two engines implement the procedure. [`enumerate`], the production
+//! engine every caller uses, runs the prune-before-expand search of
+//! [`crate::pruned`]. [`enumerate_serial`] and its lazy stream
+//! [`behaviors`] run the procedure literally, one fork per candidate;
+//! they are the reference oracle the differential tests compare the
+//! production engine against, and the stream [`crate::explain`] walks.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -28,16 +35,14 @@ pub struct EnumConfig {
     /// Maximum graph nodes one thread may generate (bounds loop unrolling).
     pub max_nodes_per_thread: u32,
     /// Discard duplicate behaviours via the canonical Load-Store-graph key.
-    /// Disabling this only costs time; the outcome set is unchanged.
+    /// Disabling this only costs time; the outcome set is unchanged. Only
+    /// the oracle ([`enumerate_serial`], [`behaviors`]) reads it: the
+    /// production [`enumerate`] always prunes duplicates before expanding
+    /// them.
     pub dedup: bool,
     /// Keep the complete [`Behavior`]s in the result (disable to save
     /// memory when only outcomes matter).
     pub keep_executions: bool,
-    /// Worker threads for [`enumerate_parallel`](crate::parallel::enumerate_parallel):
-    /// `1` runs the exact serial path on the calling thread, `0` means
-    /// "auto" (resolved via [`std::thread::available_parallelism`], like
-    /// the default). The serial [`enumerate`] ignores this field.
-    pub parallelism: usize,
     /// Collect [`crate::obs`] instrumentation (closure-rule counters and
     /// per-phase timings) into [`EnumStats::obs`]. Off by default; when
     /// off every instrumentation site is a single null check (experiment
@@ -46,10 +51,6 @@ pub struct EnumConfig {
     /// Per-request fork fuel: the enumeration aborts with
     /// [`EnumError::Overbudget`] once it has attempted this many
     /// `(load, candidate)` forks. `None` (the default) means unlimited.
-    /// Both the serial and the parallel engine honour the budget; the
-    /// parallel engine counts forks globally across workers, so the
-    /// abort point is scheduling-dependent but always within one batch
-    /// of the limit.
     pub budget: Option<u64>,
 }
 
@@ -60,7 +61,6 @@ impl Default for EnumConfig {
             max_nodes_per_thread: 256,
             dedup: true,
             keep_executions: true,
-            parallelism: default_parallelism(),
             observe: false,
             budget: None,
         }
@@ -76,11 +76,9 @@ impl EnumConfig {
     /// use samm_core::enumerate::EnumConfig;
     /// let config = EnumConfig::builder()
     ///     .observe(true)
-    ///     .parallelism(2)
     ///     .budget(10_000)
     ///     .build();
     /// assert!(config.observe);
-    /// assert_eq!(config.parallelism, 2);
     /// assert_eq!(config.budget, Some(10_000));
     /// ```
     pub fn builder() -> EnumConfigBuilder {
@@ -129,13 +127,6 @@ impl EnumConfigBuilder {
         self
     }
 
-    /// Sets [`EnumConfig::parallelism`] (`0` means "auto").
-    #[must_use]
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        self.config.parallelism = workers;
-        self
-    }
-
     /// Sets [`EnumConfig::observe`].
     #[must_use]
     pub fn observe(mut self, enabled: bool) -> Self {
@@ -161,15 +152,13 @@ impl EnumConfigBuilder {
 /// parses as a positive integer, otherwise
 /// [`std::thread::available_parallelism`].
 ///
-/// CLI `--jobs N` flags override both by setting
-/// [`EnumConfig::parallelism`] explicitly; `SAMM_JOBS` is the fleet-wide
-/// fallback that lets CI and the service pin core usage without touching
+/// It sizes the program-level sweeps (`samm-lint --jobs`, the synthesis
+/// sweep); CLI `--jobs N` flags override it, and `SAMM_JOBS` is the
+/// fleet-wide fallback that lets CI pin core usage without touching
 /// every invocation.
 ///
-/// The answer is computed once per process: both the environment scan
-/// and `available_parallelism` (a syscall) are too slow for callers
-/// that build an [`EnumConfig`] per request, and neither input changes
-/// while the process runs.
+/// The answer is computed once per process: neither the environment nor
+/// `available_parallelism` (a syscall) changes while the process runs.
 pub fn default_parallelism() -> usize {
     static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *DEFAULT.get_or_init(|| {
@@ -190,24 +179,15 @@ pub struct EnumStats {
     pub forks: usize,
     /// Forks discarded as duplicates of an already-seen behaviour.
     pub deduped: usize,
-    /// Forks rolled back because they violated Store Atomicity
-    /// (speculation/bypass only).
+    /// Forks rolled back because they violated Store Atomicity. Besides
+    /// speculation and bypass forks, this counts §4 candidates that pass
+    /// the local candidate test but whose closure is cyclic: such a fork
+    /// has no serialization under any model.
     pub rolled_back: usize,
     /// Number of distinct complete executions (Load-Store graphs).
     pub distinct_executions: usize,
     /// Largest node count of any behaviour's graph.
     pub max_graph_nodes: usize,
-    /// Worker threads the run used (`0` for the serial enumerator).
-    pub workers: usize,
-    /// Behaviours a worker obtained by stealing from another worker's
-    /// deque (parallel runs only; scheduling-dependent).
-    pub steals: usize,
-    /// Dedup-shard lock acquisitions that found the shard already locked
-    /// (parallel runs only; scheduling-dependent).
-    pub shard_contention: usize,
-    /// Times an idle worker woke, found no work anywhere, and yielded
-    /// (parallel runs only; scheduling-dependent).
-    pub idle_wakeups: usize,
     /// Instrumentation snapshot, present when [`EnumConfig::observe`] was
     /// set. Counter fields are deterministic; `*_nanos` timings are not
     /// (compare via [`ObsStats::counters`]).
@@ -221,18 +201,13 @@ impl EnumStats {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"explored\":{},\"forks\":{},\"deduped\":{},\"rolled_back\":{},\
-             \"distinct_executions\":{},\"max_graph_nodes\":{},\"workers\":{},\
-             \"steals\":{},\"shard_contention\":{},\"idle_wakeups\":{},\"obs\":{}}}",
+             \"distinct_executions\":{},\"max_graph_nodes\":{},\"obs\":{}}}",
             self.explored,
             self.forks,
             self.deduped,
             self.rolled_back,
             self.distinct_executions,
             self.max_graph_nodes,
-            self.workers,
-            self.steals,
-            self.shard_contention,
-            self.idle_wakeups,
             self.obs.map_or_else(|| "null".to_owned(), |o| o.to_json()),
         )
     }
@@ -261,7 +236,6 @@ pub struct Behaviors {
     program: Program,
     policy: Policy,
     config: EnumConfig,
-    may_roll_back: bool,
     frontier: Vec<Behavior>,
     seen: HashSet<Vec<u8>>,
     stats: EnumStats,
@@ -370,17 +344,17 @@ impl Iterator for Behaviors {
                             }
                             self.frontier.push(fork);
                         }
-                        Err(StepError::Inconsistent(e)) => {
-                            if self.may_roll_back {
-                                self.stats.rolled_back += 1;
-                                self.record(TraceEvent::Prune {
-                                    child: fork.trace_id(),
-                                    reason: PruneReason::Inconsistent,
-                                });
-                            } else {
-                                self.finished = true;
-                                return Some(Err(EnumError::UnexpectedCycle(e)));
-                            }
+                        // `candidates(L)` is a local test: a candidate
+                        // can still close a cycle through other
+                        // addresses (litmus-tests/regressions/
+                        // sc_candidate_cycle.litmus), so every model
+                        // may roll back.
+                        Err(StepError::Inconsistent(_)) => {
+                            self.stats.rolled_back += 1;
+                            self.record(TraceEvent::Prune {
+                                child: fork.trace_id(),
+                                reason: PruneReason::Inconsistent,
+                            });
                         }
                         Err(StepError::NodeLimit { thread, limit }) => {
                             self.finished = true;
@@ -397,10 +371,10 @@ impl Iterator for Behaviors {
 
 /// Starts a lazy enumeration of `program` under `policy`.
 ///
-/// Unlike [`enumerate`], behaviours are produced on demand. Note that with
-/// [`EnumConfig::dedup`] disabled the stream may repeat equivalent
-/// executions (reached through different resolution orders); [`enumerate`]
-/// collapses those in post-processing.
+/// This is the oracle engine of [`enumerate_serial`], producing behaviours
+/// on demand. Note that with [`EnumConfig::dedup`] disabled the stream may
+/// repeat equivalent executions (reached through different resolution
+/// orders); [`enumerate_serial`] collapses those in post-processing.
 ///
 /// # Errors
 ///
@@ -444,8 +418,6 @@ pub fn behaviors(
 /// events into `sink` — the raw material for the witness/refutation
 /// machinery in [`crate::explain`]. Behaviour ids are assigned in fork
 /// order from the root's id 0, so the serial trace is deterministic.
-/// (The parallel engine does not emit trace events: its fork order is
-/// scheduling-dependent.)
 ///
 /// # Errors
 ///
@@ -465,7 +437,6 @@ fn behaviors_with(
     config: &EnumConfig,
     trace: Option<Arc<dyn TraceSink>>,
 ) -> Result<Behaviors, EnumError> {
-    let may_roll_back = policy.alias_speculation() || policy.has_bypass() || program.uses_rmw();
     let obs = config.observe.then(|| Arc::new(Obs::new()));
     let mut root = Behavior::new(program);
     if let Some(obs) = &obs {
@@ -486,7 +457,6 @@ fn behaviors_with(
         program: program.clone(),
         policy: policy.clone(),
         config: config.clone(),
-        may_roll_back,
         frontier: vec![root],
         seen,
         stats: EnumStats::default(),
@@ -497,7 +467,15 @@ fn behaviors_with(
     })
 }
 
-/// Enumerates every behaviour of `program` under `policy`.
+/// Enumerates every behaviour of `program` under `policy` with the
+/// production engine, the prune-before-expand search of
+/// [`crate::pruned`].
+///
+/// It returns the same outcome set and `distinct_executions` count as
+/// the oracle [`enumerate_serial`], typically building far fewer forks:
+/// its `explored`/`forks`/`deduped` statistics count pruned-search work, and [`EnumConfig::dedup`] does not apply.
+/// [`crate::pruned::enumerate_pruned_stats`] returns the same result
+/// together with the engine's own counters.
 ///
 /// # Examples
 ///
@@ -525,14 +503,32 @@ fn behaviors_with(
 ///
 /// # Errors
 ///
-/// * [`EnumError::NodeLimit`] / [`EnumError::BehaviorLimit`] when limits are
-///   exceeded;
-/// * [`EnumError::UnexpectedCycle`] when a non-speculative store-atomic
-///   model produces an inconsistent behaviour (an internal invariant
-///   violation);
-/// * [`EnumError::Stuck`] when a behaviour cannot make progress (likewise
-///   an internal invariant violation).
+/// * [`EnumError::NodeLimit`] / [`EnumError::BehaviorLimit`] /
+///   [`EnumError::Overbudget`] when limits are exceeded;
+/// * [`EnumError::UnexpectedCycle`] when the initial behaviour, before
+///   any load is resolved, is already inconsistent;
+/// * [`EnumError::Stuck`] when a behaviour cannot make progress (an
+///   internal invariant violation).
 pub fn enumerate(
+    program: &Program,
+    policy: &Policy,
+    config: &EnumConfig,
+) -> Result<EnumResult, EnumError> {
+    crate::pruned::enumerate_pruned_stats(program, policy, config).map(|(result, _)| result)
+}
+
+/// Enumerates every behaviour of `program` under `policy` by running the
+/// section 4 procedure literally: one fork per `(load, candidate)` pair,
+/// duplicates discarded after they settle (when [`EnumConfig::dedup`] is
+/// set).
+///
+/// This is the reference oracle that the differential tests compare
+/// [`enumerate`] against; production callers use [`enumerate`].
+///
+/// # Errors
+///
+/// As for [`enumerate`].
+pub fn enumerate_serial(
     program: &Program,
     policy: &Policy,
     config: &EnumConfig,
@@ -712,8 +708,8 @@ mod tests {
 
     #[test]
     fn dedup_does_not_change_outcomes() {
-        let with = enumerate(&sb(), &Policy::weak(), &EnumConfig::default()).unwrap();
-        let without = enumerate(
+        let with = enumerate_serial(&sb(), &Policy::weak(), &EnumConfig::default()).unwrap();
+        let without = enumerate_serial(
             &sb(),
             &Policy::weak(),
             &EnumConfig {
@@ -909,7 +905,6 @@ mod tests {
             .max_nodes_per_thread(9)
             .dedup(false)
             .keep_executions(false)
-            .parallelism(3)
             .observe(true)
             .budget(Some(5))
             .build();
@@ -918,7 +913,6 @@ mod tests {
             max_nodes_per_thread: 9,
             dedup: false,
             keep_executions: false,
-            parallelism: 3,
             observe: true,
             budget: Some(5),
         };
@@ -943,7 +937,9 @@ mod tests {
         assert_eq!(early.distinct_executions, 1);
         assert!(early.explored >= 1);
 
-        let full = enumerate(&sb(), &Policy::weak(), &config).unwrap().stats;
+        let full = enumerate_serial(&sb(), &Policy::weak(), &config)
+            .unwrap()
+            .stats;
         assert!(early.explored < full.explored);
         assert!(early.forks <= full.forks);
 
@@ -971,7 +967,7 @@ mod tests {
             );
             outcomes.insert(behavior.outcome());
         }
-        let reference = enumerate(&sb(), &Policy::weak(), &EnumConfig::default()).unwrap();
+        let reference = enumerate_serial(&sb(), &Policy::weak(), &EnumConfig::default()).unwrap();
         assert_eq!(outcomes, reference.outcomes);
         assert_eq!(keys.len(), reference.stats.distinct_executions);
     }
@@ -1057,7 +1053,7 @@ mod tests {
             outcomes.insert(behavior.outcome());
             yielded += 1;
         }
-        let reference = enumerate(&sb(), &Policy::weak(), &EnumConfig::default()).unwrap();
+        let reference = enumerate_serial(&sb(), &Policy::weak(), &EnumConfig::default()).unwrap();
         assert_eq!(outcomes, reference.outcomes);
         assert_eq!(keys.len(), reference.stats.distinct_executions);
         assert!(

@@ -55,8 +55,9 @@ pub enum EnumError {
     /// resolvable load. This indicates an internal invariant violation and
     /// is never expected for well-formed programs.
     Stuck,
-    /// An ordering cycle arose in a context where the model guarantees
-    /// consistency (i.e. outside speculation/bypass forks).
+    /// The initial behaviour, before any load was resolved, already has
+    /// an ordering cycle. (A cycle closed by resolving a load only rolls
+    /// that fork back.)
     UnexpectedCycle(CycleError),
     /// The enumeration spent its fork fuel
     /// ([`EnumConfig::budget`](crate::enumerate::EnumConfig)) before

@@ -1,6 +1,7 @@
-//! Prune-before-expand enumeration.
+//! Prune-before-expand enumeration: the production engine behind
+//! [`crate::enumerate::enumerate`].
 //!
-//! The serial engine of [`mod@crate::enumerate`] discovers duplicate
+//! The serial oracle [`crate::enumerate::enumerate_serial`] discovers duplicate
 //! behaviours *after* paying for them: it clones the parent, resolves the
 //! load, re-settles, computes the canonical Load-Store-graph key, and only
 //! then discards the fork. This module reorders the search so every prune
@@ -33,7 +34,7 @@
 //! Soundness arguments for each rule live in `DESIGN.md`; the
 //! differential test fortress (`tests/pruned_differential.rs`,
 //! `tests/proptests.rs`, `tests/golden_pruning.rs`) pins behaviour-set
-//! equality against the untouched serial oracle.
+//! equality against the serial oracle.
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -328,42 +329,29 @@ impl PruneStats {
     }
 }
 
-/// [`enumerate_pruned`] returning the engine-specific [`PruneStats`]
-/// next to the ordinary result.
+/// [`crate::enumerate::enumerate`] returning the engine-specific
+/// [`PruneStats`] next to the ordinary result.
 ///
-/// # Errors
-///
-/// As for [`enumerate_pruned`].
-pub fn enumerate_pruned_stats(
-    program: &Program,
-    policy: &Policy,
-    config: &EnumConfig,
-) -> Result<(EnumResult, PruneStats), EnumError> {
-    run(program, policy, config, None)
-}
-
-/// Enumerates every behaviour of `program` under `policy` with the
-/// prune-before-expand engine.
-///
-/// Produces the same outcome set and the same `distinct_executions`
-/// count as the serial oracle [`crate::enumerate::enumerate`] (with
-/// dedup enabled), typically exploring far fewer behaviours. Note that
-/// this engine *always* deduplicates — pruning is its search strategy,
-/// so [`EnumConfig::dedup`] is ignored — and its `explored`/`forks`/
-/// `deduped` statistics count pruned-search work, not serial-search
-/// work. Timing-free statistics are deterministic.
+/// The engine produces the same outcome set and the same
+/// `distinct_executions` count as the serial oracle
+/// [`crate::enumerate::enumerate_serial`] (with dedup enabled),
+/// typically building far fewer forks. It *always* deduplicates —
+/// pruning is its search strategy, so [`EnumConfig::dedup`] is ignored —
+/// and its `explored`/`forks`/`deduped` statistics count pruned-search
+/// work, not serial-search work. Timing-free statistics are
+/// deterministic.
 ///
 /// # Errors
 ///
 /// As for [`crate::enumerate::enumerate`]; the fork budget counts claim
-/// attempts, so a budget that suffices for the serial engine always
+/// attempts, so a budget that suffices for the serial oracle always
 /// suffices here.
 ///
 /// # Examples
 ///
 /// ```
-/// use samm_core::enumerate::{enumerate, EnumConfig};
-/// use samm_core::pruned::enumerate_pruned;
+/// use samm_core::enumerate::{enumerate_serial, EnumConfig};
+/// use samm_core::pruned::enumerate_pruned_stats;
 /// use samm_core::instr::{Instr, Program, ThreadProgram};
 /// use samm_core::ids::Reg;
 /// use samm_core::policy::Policy;
@@ -374,23 +362,24 @@ pub fn enumerate_pruned_stats(
 /// ]);
 /// let sb = Program::new(vec![t(0, 1), t(1, 0)]);
 /// let config = EnumConfig::default();
-/// let serial = enumerate(&sb, &Policy::weak(), &config).unwrap();
-/// let pruned = enumerate_pruned(&sb, &Policy::weak(), &config).unwrap();
-/// assert_eq!(serial.outcomes, pruned.outcomes);
+/// let oracle = enumerate_serial(&sb, &Policy::weak(), &config).unwrap();
+/// let (pruned, pstats) = enumerate_pruned_stats(&sb, &Policy::weak(), &config).unwrap();
+/// assert_eq!(oracle.outcomes, pruned.outcomes);
 /// assert_eq!(
-///     serial.stats.distinct_executions,
+///     oracle.stats.distinct_executions,
 ///     pruned.stats.distinct_executions,
 /// );
+/// assert!(pstats.expanded < oracle.stats.forks as u64);
 /// ```
-pub fn enumerate_pruned(
+pub fn enumerate_pruned_stats(
     program: &Program,
     policy: &Policy,
     config: &EnumConfig,
-) -> Result<EnumResult, EnumError> {
-    run(program, policy, config, None).map(|(result, _)| result)
+) -> Result<(EnumResult, PruneStats), EnumError> {
+    run(program, policy, config, None)
 }
 
-/// [`enumerate_pruned`], additionally streaming fork/prune/commit events
+/// [`enumerate_pruned_stats`], additionally streaming fork/prune/commit events
 /// into `sink`. Unlike the serial trace, claim-pruned forks emit a
 /// [`TraceEvent::Prune`] with reason [`PruneReason::Dominated`] or
 /// [`PruneReason::Symmetric`] *without* a preceding fork event — they
@@ -398,7 +387,7 @@ pub fn enumerate_pruned(
 ///
 /// # Errors
 ///
-/// As for [`enumerate_pruned`].
+/// As for [`crate::enumerate::enumerate`].
 pub fn enumerate_pruned_traced(
     program: &Program,
     policy: &Policy,
@@ -416,7 +405,6 @@ struct Engine<'a> {
     program: &'a Program,
     policy: &'a Policy,
     config: &'a EnumConfig,
-    may_roll_back: bool,
     group: Vec<Vec<usize>>,
     seen: SeenTable,
     frontier: Vec<(Behavior, ObsSet, u64)>,
@@ -625,19 +613,15 @@ impl Engine<'_> {
                 });
                 match step {
                     Ok(()) => self.frontier.push((fork, child_set, child_h)),
-                    Err(StepError::Inconsistent(e)) => {
-                        if self.may_roll_back {
-                            // The claim stays: any other path to this
-                            // observation set fails identically.
-                            self.stats.rolled_back += 1;
-                            self.pstats.rolled_back += 1;
-                            self.record(TraceEvent::Prune {
-                                child: fork.trace_id(),
-                                reason: PruneReason::Inconsistent,
-                            });
-                        } else {
-                            return Err(EnumError::UnexpectedCycle(e));
-                        }
+                    Err(StepError::Inconsistent(_)) => {
+                        // The claim stays: any other path to this
+                        // observation set fails identically.
+                        self.stats.rolled_back += 1;
+                        self.pstats.rolled_back += 1;
+                        self.record(TraceEvent::Prune {
+                            child: fork.trace_id(),
+                            reason: PruneReason::Inconsistent,
+                        });
                     }
                     Err(StepError::NodeLimit { thread, limit }) => {
                         return Err(EnumError::NodeLimit { thread, limit });
@@ -657,7 +641,6 @@ fn run(
     config: &EnumConfig,
     trace: Option<Arc<dyn TraceSink>>,
 ) -> Result<(EnumResult, PruneStats), EnumError> {
-    let may_roll_back = policy.alias_speculation() || policy.has_bypass() || program.uses_rmw();
     let obs = config.observe.then(|| Arc::new(Obs::new()));
     let mut root = Behavior::new(program);
     if let Some(obs) = &obs {
@@ -684,7 +667,6 @@ fn run(
         program,
         policy,
         config,
-        may_roll_back,
         pstats: PruneStats {
             symmetry_group: group.len() as u64,
             ..PruneStats::default()
@@ -723,7 +705,7 @@ fn run(
         stats.obs = Some(obs.snapshot());
     }
     if config.keep_executions {
-        // Deterministic execution order, like the parallel engine.
+        // Deterministic execution order: sorted by canonical key.
         let mut keyed: Vec<(Vec<u8>, Behavior)> = result
             .executions
             .drain(..)
@@ -739,7 +721,7 @@ fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::enumerate;
+    use crate::enumerate::{enumerate, enumerate_serial};
     use crate::ids::{Reg, Value};
     use crate::instr::{Instr, ThreadProgram};
 
@@ -819,8 +801,8 @@ mod tests {
         for program in [sb(), mp(), symmetric_sb()] {
             for policy in policies() {
                 let config = EnumConfig::builder().keep_executions(false).build();
-                let serial = enumerate(&program, &policy, &config).unwrap();
-                let pruned = enumerate_pruned(&program, &policy, &config).unwrap();
+                let serial = enumerate_serial(&program, &policy, &config).unwrap();
+                let pruned = enumerate(&program, &policy, &config).unwrap();
                 assert_eq!(serial.outcomes, pruned.outcomes, "{}", policy.name());
                 assert_eq!(
                     serial.stats.distinct_executions,
@@ -836,7 +818,7 @@ mod tests {
     fn symmetric_program_explores_fewer_behaviors() {
         let config = EnumConfig::builder().keep_executions(false).build();
         let policy = Policy::weak();
-        let serial = enumerate(&symmetric_sb(), &policy, &config).unwrap();
+        let serial = enumerate_serial(&symmetric_sb(), &policy, &config).unwrap();
         let (pruned, pstats) = enumerate_pruned_stats(&symmetric_sb(), &policy, &config).unwrap();
         assert_eq!(pstats.symmetry_group, 2);
         assert!(pstats.pruned_symmetric > 0, "symmetry must fire");
@@ -856,7 +838,7 @@ mod tests {
         let policy = Policy::weak();
         let (pruned, pstats) = enumerate_pruned_stats(&symmetric_sb(), &policy, &config).unwrap();
         assert_eq!(pstats.symmetry_group, 1);
-        let serial = enumerate(&symmetric_sb(), &policy, &config).unwrap();
+        let serial = enumerate_serial(&symmetric_sb(), &policy, &config).unwrap();
         assert_eq!(pruned.executions.len(), serial.executions.len());
         assert_eq!(
             pruned.stats.distinct_executions,
@@ -875,7 +857,7 @@ mod tests {
     fn expands_fewer_forks_than_serial_attempts() {
         let config = EnumConfig::builder().keep_executions(false).build();
         let policy = Policy::weak();
-        let serial = enumerate(&sb(), &policy, &config).unwrap();
+        let serial = enumerate_serial(&sb(), &policy, &config).unwrap();
         let (_, pstats) = enumerate_pruned_stats(&sb(), &policy, &config).unwrap();
         assert!(
             pstats.expanded < serial.stats.forks as u64,
@@ -896,7 +878,7 @@ mod tests {
             .keep_executions(false)
             .budget(Some(2))
             .build();
-        let err = enumerate_pruned(&sb(), &Policy::weak(), &config).unwrap_err();
+        let err = enumerate(&sb(), &Policy::weak(), &config).unwrap_err();
         assert!(matches!(err, EnumError::Overbudget { budget: 2, .. }));
     }
 
@@ -906,15 +888,15 @@ mod tests {
             .keep_executions(false)
             .max_behaviors(1)
             .build();
-        let err = enumerate_pruned(&sb(), &Policy::weak(), &config).unwrap_err();
+        let err = enumerate(&sb(), &Policy::weak(), &config).unwrap_err();
         assert!(matches!(err, EnumError::BehaviorLimit { limit: 1 }));
     }
 
     #[test]
     fn deterministic_across_runs() {
         let config = EnumConfig::builder().keep_executions(false).build();
-        let a = enumerate_pruned(&symmetric_sb(), &Policy::weak(), &config).unwrap();
-        let b = enumerate_pruned(&symmetric_sb(), &Policy::weak(), &config).unwrap();
+        let a = enumerate(&symmetric_sb(), &Policy::weak(), &config).unwrap();
+        let b = enumerate(&symmetric_sb(), &Policy::weak(), &config).unwrap();
         assert_eq!(a.outcomes, b.outcomes);
         assert_eq!(a.stats, b.stats);
     }
@@ -941,7 +923,7 @@ mod tests {
         // identical code; instead check the symmetric SB outcome set
         // explicitly contains the asymmetric outcomes both ways.
         let config = EnumConfig::builder().keep_executions(false).build();
-        let result = enumerate_pruned(&symmetric_sb(), &Policy::weak(), &config).unwrap();
+        let result = enumerate(&symmetric_sb(), &Policy::weak(), &config).unwrap();
         let outcomes: Vec<(Value, Value)> = result
             .outcomes
             .iter()

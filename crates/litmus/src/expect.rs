@@ -10,19 +10,13 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use samm_core::cache::{cached_enumerate, EnumCache};
-use samm_core::enumerate::{enumerate, EnumConfig, EnumResult, EnumStats};
+use samm_core::enumerate::{enumerate, EnumConfig, EnumStats};
 use samm_core::error::EnumError;
 use samm_core::instr::Program;
 use samm_core::outcome::OutcomeSet;
-use samm_core::parallel::enumerate_parallel;
 use samm_core::policy::Policy;
-use samm_core::pruned::enumerate_pruned;
 
 use crate::catalog::{CatalogEntry, ModelSel};
-
-/// An enumeration engine: the serial [`enumerate`] or the work-stealing
-/// [`enumerate_parallel`].
-type Engine = fn(&Program, &Policy, &EnumConfig) -> Result<EnumResult, EnumError>;
 
 /// An SC-equivalence certifier: returns `true` when it can prove the
 /// program's behaviour set under the given (weak) policy equals its SC
@@ -53,7 +47,7 @@ pub struct VerdictRow {
     pub certified: bool,
     /// `true` when the enumeration behind this row was answered from the
     /// content-addressed [`EnumCache`] instead of running fresh (only
-    /// possible via [`run_entry_cached`] and friends).
+    /// possible via [`run_entry_with`]).
     pub cache_hit: bool,
     /// Statistics of the enumeration that answered this row. For
     /// [certified](VerdictRow::certified) rows these are the SC run's
@@ -132,129 +126,6 @@ impl fmt::Display for EntryReport {
     }
 }
 
-/// Runs one catalog entry: enumerates under each referenced model and
-/// evaluates every verdict.
-///
-/// # Errors
-///
-/// Propagates enumeration failures.
-pub fn run_entry(entry: &CatalogEntry, config: &EnumConfig) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate, None, None)
-}
-
-/// Like [`run_entry`], but consulting (and filling) the
-/// content-addressed `cache` for every per-model enumeration. Rows
-/// answered from the cache are marked [`VerdictRow::cache_hit`]; their
-/// outcome sets and deterministic statistics are bit-identical to a
-/// fresh run's, but their `stats` never carry scheduling counters (see
-/// [`samm_core::cache`]).
-///
-/// # Errors
-///
-/// Propagates enumeration failures (which are never cached).
-pub fn run_entry_cached(
-    entry: &CatalogEntry,
-    config: &EnumConfig,
-    cache: &EnumCache,
-) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate, None, Some(cache))
-}
-
-/// The work-stealing variant of [`run_entry_cached`]. The cache is
-/// engine-transparent: an entry filled by the serial engine answers a
-/// parallel query and vice versa.
-///
-/// # Errors
-///
-/// Propagates enumeration failures (which are never cached).
-pub fn run_entry_cached_parallel(
-    entry: &CatalogEntry,
-    config: &EnumConfig,
-    cache: &EnumCache,
-) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate_parallel, None, Some(cache))
-}
-
-/// Like [`run_entry`], but consulting `certifier` before enumerating
-/// under each non-SC model: models the certifier proves SC-equivalent
-/// reuse a single SC enumeration, and their rows are marked
-/// [`VerdictRow::certified`]. For certified rows the reported outcome
-/// and execution counts are the SC run's: outcome sets are provably
-/// equal, while execution counts are the SC run's by convention — the
-/// DRF/TLO certificates preserve them exactly, robustness certificates
-/// only promise outcome-set equality.
-///
-/// # Errors
-///
-/// Propagates enumeration failures.
-pub fn run_entry_certified(
-    entry: &CatalogEntry,
-    config: &EnumConfig,
-    certifier: Certifier<'_>,
-) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate, Some(certifier), None)
-}
-
-/// The work-stealing variant of [`run_entry_certified`].
-///
-/// # Errors
-///
-/// Propagates enumeration failures.
-pub fn run_entry_certified_parallel(
-    entry: &CatalogEntry,
-    config: &EnumConfig,
-    certifier: Certifier<'_>,
-) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate_parallel, Some(certifier), None)
-}
-
-/// Like [`run_entry`], but enumerating on the work-stealing pool
-/// ([`enumerate_parallel`] with [`EnumConfig::parallelism`] workers).
-/// Verdicts, outcome counts and execution counts are identical to
-/// [`run_entry`]'s — the engines are equivalent — only wall-clock
-/// differs.
-///
-/// # Errors
-///
-/// Propagates enumeration failures.
-pub fn run_entry_parallel(
-    entry: &CatalogEntry,
-    config: &EnumConfig,
-) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate_parallel, None, None)
-}
-
-/// Like [`run_entry`], but enumerating with the prune-before-expand
-/// engine ([`enumerate_pruned`]). Verdicts, outcome sets and execution
-/// counts are identical to [`run_entry`]'s — the engines are
-/// behaviour-equivalent — but the search-shape statistics (`explored`,
-/// `forks`, `deduped`) count pruned-search work.
-///
-/// # Errors
-///
-/// Propagates enumeration failures.
-pub fn run_entry_pruned(
-    entry: &CatalogEntry,
-    config: &EnumConfig,
-) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate_pruned, None, None)
-}
-
-/// The prune-before-expand variant of [`run_entry_cached`]. The cache is
-/// engine-transparent, so entries filled by any engine answer pruned
-/// queries and vice versa.
-///
-/// # Errors
-///
-/// Propagates enumeration failures (which are never cached).
-pub fn run_entry_cached_pruned(
-    entry: &CatalogEntry,
-    config: &EnumConfig,
-    cache: &EnumCache,
-) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate_pruned, None, Some(cache))
-}
-
 /// The per-model answer assembled by [`run_entry_with`].
 #[derive(Clone)]
 struct ModelAnswer {
@@ -265,12 +136,39 @@ struct ModelAnswer {
     stats: EnumStats,
 }
 
-fn run_entry_with(
+/// Runs one catalog entry: enumerates under each referenced model with
+/// the production engine ([`enumerate`]) and evaluates every verdict.
+///
+/// # Errors
+///
+/// Propagates enumeration failures.
+pub fn run_entry(entry: &CatalogEntry, config: &EnumConfig) -> Result<EntryReport, EnumError> {
+    run_entry_with(entry, config, None, None)
+}
+
+/// [`run_entry`] with its two optional layers.
+///
+/// * `cache`: every per-model enumeration consults (and fills) the
+///   content-addressed cache. Rows answered from it are marked
+///   [`VerdictRow::cache_hit`]; their outcome sets and deterministic
+///   statistics are bit-identical to the run that filled the entry.
+/// * `certifier`: consulted before enumerating under each non-SC model.
+///   Models the certifier proves SC-equivalent reuse a single SC
+///   enumeration, and their rows are marked [`VerdictRow::certified`].
+///   For certified rows the reported outcome and execution counts are
+///   the SC run's: outcome sets are provably equal, while execution
+///   counts are the SC run's by convention — the DRF/TLO certificates
+///   preserve them exactly, robustness certificates only promise
+///   outcome-set equality.
+///
+/// # Errors
+///
+/// Propagates enumeration failures (which are never cached).
+pub fn run_entry_with(
     entry: &CatalogEntry,
     config: &EnumConfig,
-    engine: Engine,
-    certifier: Option<Certifier<'_>>,
     cache: Option<&EnumCache>,
+    certifier: Option<Certifier<'_>>,
 ) -> Result<EntryReport, EnumError> {
     // One enumeration under `policy`, via the shared content-addressed
     // cache when one was provided.
@@ -278,11 +176,11 @@ fn run_entry_with(
         match cache {
             Some(cache) => {
                 let (value, hit) =
-                    cached_enumerate(cache, &entry.test.program, policy, config, engine)?;
+                    cached_enumerate(cache, &entry.test.program, policy, config, enumerate)?;
                 Ok((value.outcomes, value.stats, hit))
             }
             None => {
-                let result = engine(&entry.test.program, policy, config)?;
+                let result = enumerate(&entry.test.program, policy, config)?;
                 Ok((result.outcomes, result.stats, false))
             }
         }
@@ -347,34 +245,6 @@ fn run_entry_with(
     })
 }
 
-/// Runs a set of entries, collecting per-entry reports.
-///
-/// # Errors
-///
-/// Stops at the first enumeration failure.
-pub fn run_all(
-    entries: &[CatalogEntry],
-    config: &EnumConfig,
-) -> Result<Vec<EntryReport>, EnumError> {
-    entries.iter().map(|e| run_entry(e, config)).collect()
-}
-
-/// Runs a set of entries on the work-stealing pool; see
-/// [`run_entry_parallel`].
-///
-/// # Errors
-///
-/// Stops at the first enumeration failure.
-pub fn run_all_parallel(
-    entries: &[CatalogEntry],
-    config: &EnumConfig,
-) -> Result<Vec<EntryReport>, EnumError> {
-    entries
-        .iter()
-        .map(|e| run_entry_parallel(e, config))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,46 +274,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_harness_agrees_with_serial() {
-        let config = EnumConfig {
-            parallelism: 4,
-            ..fast_config()
-        };
-        for entry in [catalog::sb(), catalog::iriw(), catalog::fig10()] {
-            let serial = run_entry(&entry, &config).unwrap();
-            let parallel = run_entry_parallel(&entry, &config).unwrap();
-            assert!(parallel.all_pass(), "{parallel}");
-            assert_eq!(serial.rows.len(), parallel.rows.len());
-            for (s, p) in serial.rows.iter().zip(&parallel.rows) {
-                assert_eq!(s.observed_allowed, p.observed_allowed);
-                assert_eq!(s.outcomes, p.outcomes);
-                assert_eq!(s.executions, p.executions);
-            }
-        }
-    }
-
-    #[test]
     fn cached_harness_is_transparent() {
         let cache = EnumCache::new(256);
         let config = fast_config();
         for entry in [catalog::sb(), catalog::iriw()] {
             let fresh = run_entry(&entry, &config).unwrap();
-            let cold = run_entry_cached(&entry, &config, &cache).unwrap();
+            let cold = run_entry_with(&entry, &config, Some(&cache), None).unwrap();
             assert!(cold.rows.iter().all(|r| !r.cache_hit));
-            let warm = run_entry_cached(&entry, &config, &cache).unwrap();
+            let warm = run_entry_with(&entry, &config, Some(&cache), None).unwrap();
             assert!(warm.rows.iter().all(|r| r.cache_hit), "{warm}");
             // Hits must be transparent — same verdicts and counts as an
-            // uncached run, whichever engine replays the query.
-            let warm_parallel = run_entry_cached_parallel(&entry, &config, &cache).unwrap();
+            // uncached run.
             for (f, rows) in fresh
                 .rows
                 .iter()
-                .zip(
-                    cold.rows
-                        .iter()
-                        .zip(warm.rows.iter().zip(&warm_parallel.rows)),
-                )
-                .map(|(f, (c, (w, p)))| (f, [c, w, p]))
+                .zip(cold.rows.iter().zip(&warm.rows))
+                .map(|(f, (c, w))| (f, [c, w]))
             {
                 for r in rows {
                     assert_eq!(f.observed_allowed, r.observed_allowed);
@@ -454,7 +300,7 @@ mod tests {
             }
         }
         assert!(cache.stats().hits > 0);
-        let text = run_entry_cached(&catalog::sb(), &config, &cache)
+        let text = run_entry_with(&catalog::sb(), &config, Some(&cache), None)
             .unwrap()
             .to_string();
         assert!(text.contains("[cached]"));

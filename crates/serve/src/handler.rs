@@ -14,17 +14,13 @@ use std::time::Instant;
 
 use samm_analyze::robust::StaticVerdict;
 use samm_core::cache::{cached_enumerate, EnumCache};
-use samm_core::enumerate::{enumerate, EnumConfig};
+use samm_core::enumerate::{enumerate, enumerate_serial, EnumConfig};
 use samm_core::error::EnumError;
 use samm_core::explain::{find_witness, refute, Goal, Refutation, RefuteOutcome};
 use samm_core::outcome::{Outcome, OutcomeSet};
-use samm_core::parallel::enumerate_parallel;
-use samm_core::pruned::enumerate_pruned;
 use samm_core::telemetry::trace::{ActiveSpan, SpanKind, TraceContext};
 use samm_litmus::catalog::{self, CatalogEntry, ModelSel};
-use samm_litmus::expect::{
-    run_entry_cached, run_entry_cached_parallel, run_entry_cached_pruned, EntryReport,
-};
+use samm_litmus::expect::{run_entry_with, EntryReport};
 
 use crate::json::Json;
 use crate::protocol::{EngineSel, Envelope, ErrorKind, Request, ServiceError};
@@ -268,11 +264,7 @@ fn handle_inner(
             engine,
         } => enumerate_response(state, test, model, *budget, *engine, span.as_ref()),
         Request::Batch(subs) => Ok(crate::batch::execute(state, subs, &id, span.as_ref())),
-        Request::Verdict {
-            test,
-            budget,
-            engine,
-        } => verdict_response(state, test, *budget, *engine),
+        Request::Verdict { test, budget } => verdict_response(state, test, *budget),
         Request::Witness {
             test,
             model,
@@ -446,29 +438,11 @@ fn enumerate_response(
             // becomes the next leader.
             continue;
         }
-        let outcome = match engine {
-            EngineSel::Serial => cached_enumerate(
-                &state.cache,
-                &entry.test.program,
-                &policy,
-                &config,
-                enumerate,
-            ),
-            EngineSel::Parallel => cached_enumerate(
-                &state.cache,
-                &entry.test.program,
-                &policy,
-                &config,
-                enumerate_parallel,
-            ),
-            EngineSel::Pruned => cached_enumerate(
-                &state.cache,
-                &entry.test.program,
-                &policy,
-                &config,
-                enumerate_pruned,
-            ),
+        let run = match engine {
+            EngineSel::Pruned => enumerate,
+            EngineSel::Serial => enumerate_serial,
         };
+        let outcome = cached_enumerate(&state.cache, &entry.test.program, &policy, &config, run);
         let flight = state
             .flights
             .lock()
@@ -595,16 +569,10 @@ fn verdict_response(
     state: &ServerState,
     test: &str,
     budget: Option<u64>,
-    engine: EngineSel,
 ) -> Result<Json, ServiceError> {
     let entry = find_entry(test)?;
     let config = state.config(budget);
-    let report = match engine {
-        EngineSel::Serial => run_entry_cached(entry, &config, &state.cache),
-        EngineSel::Parallel => run_entry_cached_parallel(entry, &config, &state.cache),
-        EngineSel::Pruned => run_entry_cached_pruned(entry, &config, &state.cache),
-    }
-    .map_err(enum_error)?;
+    let report = run_entry_with(entry, &config, Some(&state.cache), None).map_err(enum_error)?;
     for row in report.rows.iter().filter(|row| !row.cache_hit) {
         state.telemetry.fold_stats(&row.stats);
     }
@@ -765,7 +733,7 @@ mod tests {
             test: "SB".into(),
             model: "TSO".into(),
             budget: None,
-            engine: EngineSel::Serial,
+            engine: EngineSel::Pruned,
         };
         let cold = handle(&state, &req);
         assert_eq!(cold.get("ok").and_then(Json::as_bool), Some(true));
@@ -778,12 +746,47 @@ mod tests {
                 test: "sb".into(),
                 model: "tso".into(),
                 budget: None,
-                engine: EngineSel::Parallel,
+                engine: EngineSel::Serial,
             },
         );
         assert_eq!(warm.get("cache_hit").and_then(Json::as_bool), Some(true));
         assert_eq!(cold.get("outcomes"), warm.get("outcomes"));
         assert_eq!(cold.get("outcome_count"), warm.get("outcome_count"));
+    }
+
+    #[test]
+    fn engine_field_selects_production_or_oracle() {
+        // Each engine on a fresh cache: the same answer, but the oracle
+        // settles every fork, so its closure runs more rounds.
+        let run = |engine: EngineSel| {
+            let resp = handle(
+                &state(),
+                &Request::Enumerate {
+                    test: "IRIW".into(),
+                    model: "Weak".into(),
+                    budget: None,
+                    engine,
+                },
+            );
+            assert_eq!(
+                resp.get("engine").and_then(Json::as_str),
+                Some(engine.name())
+            );
+            let stats = crate::json::parse(&resp.get("stats").unwrap().to_string()).unwrap();
+            let rounds = stats
+                .get("obs")
+                .and_then(|o| o.get("closure_rounds"))
+                .and_then(Json::as_u64)
+                .unwrap();
+            (resp.get("outcomes").map(Json::to_string), rounds)
+        };
+        let (pruned_outcomes, pruned_rounds) = run(EngineSel::Pruned);
+        let (serial_outcomes, serial_rounds) = run(EngineSel::Serial);
+        assert_eq!(pruned_outcomes, serial_outcomes);
+        assert!(
+            serial_rounds > pruned_rounds,
+            "{serial_rounds} vs {pruned_rounds}"
+        );
     }
 
     #[test]
@@ -795,7 +798,7 @@ mod tests {
                 test: "NoSuchTest".into(),
                 model: "TSO".into(),
                 budget: None,
-                engine: EngineSel::Serial,
+                engine: EngineSel::Pruned,
             },
         );
         assert_eq!(err.get("ok").and_then(Json::as_bool), Some(false));
@@ -831,7 +834,7 @@ mod tests {
                 test: "IRIW".into(),
                 model: "Weak".into(),
                 budget: Some(3),
-                engine: EngineSel::Serial,
+                engine: EngineSel::Pruned,
             },
         );
         assert_eq!(err.get("ok").and_then(Json::as_bool), Some(false));
@@ -848,7 +851,7 @@ mod tests {
                 test: "IRIW".into(),
                 model: "Weak".into(),
                 budget: None,
-                engine: EngineSel::Serial,
+                engine: EngineSel::Pruned,
             },
         );
         assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
@@ -862,7 +865,6 @@ mod tests {
             &Request::Verdict {
                 test: "SB".into(),
                 budget: None,
-                engine: EngineSel::Serial,
             },
         );
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
@@ -1002,7 +1004,7 @@ mod tests {
                 test: "SB".into(),
                 model: "SC".into(),
                 budget: None,
-                engine: EngineSel::Serial,
+                engine: EngineSel::Pruned,
             },
         );
         let m = handle(&state, &Request::Metrics);
@@ -1025,7 +1027,7 @@ mod tests {
                 test: "SB".into(),
                 model: "SC".into(),
                 budget: None,
-                engine: EngineSel::Serial,
+                engine: EngineSel::Pruned,
             },
         );
         // A burst of self-monitoring...
@@ -1047,7 +1049,7 @@ mod tests {
             test: "SB".into(),
             model: "TSO".into(),
             budget: None,
-            engine: EngineSel::Serial,
+            engine: EngineSel::Pruned,
         };
         // Server-assigned ids are unique; client ids are echoed.
         let first = handle(&state, &req);
@@ -1076,7 +1078,7 @@ mod tests {
                 test: "IRIW".into(),
                 model: "Weak".into(),
                 budget: Some(3),
-                engine: EngineSel::Serial,
+                engine: EngineSel::Pruned,
             },
         );
         let k = &state.telemetry.kinds[0];
@@ -1094,7 +1096,7 @@ mod tests {
                 test: "SB".into(),
                 model: "TSO".into(),
                 budget: None,
-                engine: EngineSel::Serial,
+                engine: EngineSel::Pruned,
             },
         );
         let resp = handle(&state, &Request::MetricsProm);

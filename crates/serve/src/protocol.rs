@@ -12,25 +12,24 @@ use samm_core::telemetry::trace::TraceContext;
 
 use crate::json::{self, Json};
 
-/// How a request asks the enumeration to run.
+/// Which engine an `enumerate` request runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineSel {
-    /// The serial depth-first engine (`samm_core::enumerate`).
+    /// The production prune-before-expand engine
+    /// (`samm_core::enumerate::enumerate`).
     #[default]
-    Serial,
-    /// The work-stealing pool (`samm_core::parallel`).
-    Parallel,
-    /// The prune-before-expand engine (`samm_core::pruned`).
     Pruned,
+    /// The serial reference oracle
+    /// (`samm_core::enumerate::enumerate_serial`).
+    Serial,
 }
 
 impl EngineSel {
     /// The wire name.
     pub fn name(self) -> &'static str {
         match self {
-            EngineSel::Serial => "serial",
-            EngineSel::Parallel => "parallel",
             EngineSel::Pruned => "pruned",
+            EngineSel::Serial => "serial",
         }
     }
 }
@@ -51,14 +50,12 @@ pub enum Request {
         engine: EngineSel,
     },
     /// Run the conformance harness on one catalog entry: every verdict
-    /// row under every model the entry mentions.
+    /// row under every model the entry mentions, on the production engine.
     Verdict {
         /// Catalog test name.
         test: String,
         /// Per-request fork budget override.
         budget: Option<u64>,
-        /// Engine selection.
-        engine: EngineSel,
     },
     /// Find a replayable witness for one condition of a catalog test.
     Witness {
@@ -249,14 +246,13 @@ fn optional_bool(obj: &Json, key: &str) -> Result<bool, ServiceError> {
 
 fn optional_engine(obj: &Json) -> Result<EngineSel, ServiceError> {
     match obj.get("engine") {
-        None | Some(Json::Null) => Ok(EngineSel::Serial),
+        None | Some(Json::Null) => Ok(EngineSel::Pruned),
         Some(v) => match v.as_str() {
-            Some("serial") => Ok(EngineSel::Serial),
-            Some("parallel") => Ok(EngineSel::Parallel),
             Some("pruned") => Ok(EngineSel::Pruned),
+            Some("serial") => Ok(EngineSel::Serial),
             _ => Err(ServiceError::new(
                 ErrorKind::Malformed,
-                "field 'engine' must be \"serial\", \"parallel\" or \"pruned\"",
+                "field 'engine' must be \"pruned\" or \"serial\"",
             )),
         },
     }
@@ -376,11 +372,19 @@ fn parse_request_obj(value: &Json) -> Result<Request, ServiceError> {
             budget: optional_u64(value, "budget")?,
             engine: optional_engine(value)?,
         }),
-        "verdict" => Ok(Request::Verdict {
-            test: required_str(value, "test")?,
-            budget: optional_u64(value, "budget")?,
-            engine: optional_engine(value)?,
-        }),
+        "verdict" => {
+            if optional_engine(value)? == EngineSel::Serial {
+                return Err(ServiceError::new(
+                    ErrorKind::Malformed,
+                    "verdict runs the production engine: field 'engine' must be \"pruned\" \
+                     or absent (the serial oracle serves enumerate requests)",
+                ));
+            }
+            Ok(Request::Verdict {
+                test: required_str(value, "test")?,
+                budget: optional_u64(value, "budget")?,
+            })
+        }
         "witness" | "refutation" => {
             let test = required_str(value, "test")?;
             let model = required_str(value, "model")?;
@@ -429,16 +433,25 @@ mod tests {
                 test: "SB".into(),
                 model: "TSO".into(),
                 budget: None,
+                engine: EngineSel::Pruned,
+            }
+        );
+        assert_eq!(
+            parse_request(r#"{"kind":"enumerate","test":"SB","model":"TSO","engine":"serial"}"#)
+                .unwrap(),
+            Request::Enumerate {
+                test: "SB".into(),
+                model: "TSO".into(),
+                budget: None,
                 engine: EngineSel::Serial,
             }
         );
         assert_eq!(
-            parse_request(r#"{"kind":"verdict","test":"IRIW","budget":5000,"engine":"parallel"}"#)
+            parse_request(r#"{"kind":"verdict","test":"IRIW","budget":5000,"engine":"pruned"}"#)
                 .unwrap(),
             Request::Verdict {
                 test: "IRIW".into(),
                 budget: Some(5000),
-                engine: EngineSel::Parallel,
             }
         );
         assert_eq!(
@@ -516,6 +529,10 @@ mod tests {
                 ErrorKind::Malformed,
             ),
             (
+                r#"{"kind":"verdict","test":"SB","engine":"serial"}"#,
+                ErrorKind::Malformed,
+            ),
+            (
                 r#"{"kind":"certify","test":"SB","model":"TSO","robust":"yes"}"#,
                 ErrorKind::Malformed,
             ),
@@ -523,6 +540,22 @@ mod tests {
         ] {
             let err = parse_request(line).unwrap_err();
             assert_eq!(err.kind, kind, "{line}");
+        }
+    }
+
+    #[test]
+    fn retired_parallel_engine_is_a_malformed_request_naming_the_choices() {
+        for line in [
+            r#"{"kind":"enumerate","test":"SB","model":"TSO","engine":"parallel"}"#,
+            r#"{"kind":"verdict","test":"SB","engine":"parallel"}"#,
+        ] {
+            let err = parse_request(line).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Malformed, "{line}");
+            assert!(
+                err.message.contains("\"pruned\"") && err.message.contains("\"serial\""),
+                "{line}: {}",
+                err.message
+            );
         }
     }
 

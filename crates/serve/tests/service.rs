@@ -54,7 +54,7 @@ fn every_request_kind_round_trips() {
     );
 
     let verdict = client
-        .request_raw(r#"{"kind":"verdict","test":"SB","engine":"parallel"}"#)
+        .request_raw(r#"{"kind":"verdict","test":"SB","engine":"pruned"}"#)
         .unwrap();
     assert!(ok(&verdict), "{verdict}");
     let report = verdict.get("report").unwrap();
@@ -111,7 +111,7 @@ fn enumeration_cache_is_shared_across_connections() {
 
     let mut second = Client::connect(handle.addr(), TIMEOUT).unwrap();
     let warm = second
-        .request_raw(r#"{"kind":"enumerate","test":"IRIW","model":"Weak","engine":"parallel"}"#)
+        .request_raw(r#"{"kind":"enumerate","test":"IRIW","model":"Weak","engine":"serial"}"#)
         .unwrap();
     assert!(ok(&warm), "{warm}");
     assert_eq!(warm.get("cache_hit").and_then(Json::as_bool), Some(true));

@@ -194,7 +194,7 @@ fn overhead_pieces() {
             ("kind", Json::str("enumerate")),
             ("test", Json::str("IRIW")),
             ("model", Json::str("Weak")),
-            ("engine", Json::str("serial")),
+            ("engine", Json::str("pruned")),
             ("cache_hit", Json::Bool(true)),
             ("outcome_count", Json::num(15.0)),
             ("executions", Json::num(100.0)),

@@ -5,7 +5,7 @@
 //!
 //! * an SC-equivalence **certificate** under model M must mean the outcome
 //!   set under M equals the SC outcome set — checked over the entire
-//!   catalog under both the serial and the work-stealing engine, and over
+//!   catalog under both the production engine and the serial oracle, and over
 //!   a random program corpus (no false certificates, by sweep);
 //! * a **race-free** report on a straight-line program must agree with the
 //!   dynamic well-synchronized discipline of `core::sync`, and implies a
@@ -22,9 +22,8 @@ use proptest::prelude::*;
 use rand::prelude::*;
 
 use samm::analyze::{certify, find_races, harness, RaceKind};
-use samm::core::enumerate::{enumerate, EnumConfig};
+use samm::core::enumerate::{enumerate, enumerate_serial, EnumConfig};
 use samm::core::ids::ThreadId;
-use samm::core::parallel::enumerate_parallel;
 use samm::core::policy::Policy;
 use samm::core::sync::check_well_synchronized;
 use samm::litmus::catalog;
@@ -53,10 +52,6 @@ fn fast() -> EnumConfig {
 #[test]
 fn catalog_certificates_match_enumeration_exactly() {
     let serial_config = fast();
-    let parallel_config = EnumConfig {
-        parallelism: 4,
-        ..fast()
-    };
     let mut certified = 0usize;
     for entry in catalog::all() {
         let program = &entry.test.program;
@@ -83,13 +78,13 @@ fn catalog_certificates_match_enumeration_exactly() {
                         entry.test.name,
                         policy.name()
                     );
-                    let par = enumerate_parallel(program, &policy, &parallel_config)
-                        .expect("parallel enumeration succeeds")
+                    let oracle = enumerate_serial(program, &policy, &serial_config)
+                        .expect("oracle enumeration succeeds")
                         .outcomes;
                     assert_eq!(
-                        par,
+                        oracle,
                         sc,
-                        "{} under {}: parallel engine disagrees with certificate",
+                        "{} under {}: serial oracle disagrees with certificate",
                         entry.test.name,
                         policy.name()
                     );
@@ -166,10 +161,6 @@ fn random_corpus_certificates_match_enumeration() {
         rmw_prob: 0.1,
     };
     let serial_config = fast();
-    let parallel_config = EnumConfig {
-        parallelism: 4,
-        ..fast()
-    };
     let mut rng = StdRng::seed_from_u64(0x5a33);
     let mut certified = 0usize;
     for _ in 0..40 {
@@ -191,10 +182,10 @@ fn random_corpus_certificates_match_enumeration() {
                 "FALSE CERTIFICATE under {} for:\n{program:#?}",
                 policy.name()
             );
-            let parallel = enumerate_parallel(&program, &policy, &parallel_config)
-                .expect("parallel enumeration succeeds")
+            let oracle = enumerate_serial(&program, &policy, &serial_config)
+                .expect("oracle enumeration succeeds")
                 .outcomes;
-            assert_eq!(parallel, sc, "parallel engine disagrees");
+            assert_eq!(oracle, sc, "serial oracle disagrees");
         }
     }
     assert!(

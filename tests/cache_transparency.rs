@@ -2,31 +2,27 @@
 //! a cache hit must be observably identical to a fresh enumeration.
 //!
 //! Over a random-program corpus, each (program, policy) query is run
-//! fresh under both engines, then replayed through a shared cache in
-//! both orders (serial fills / parallel hits, and vice versa). The
-//! cached answer must be bit-identical in outcomes and deterministic
-//! statistics regardless of which engine filled the entry — the
-//! property `samm-serve` relies on to serve mixed-engine traffic from
-//! one cache. A final check mutates the program and asserts the mutant
-//! can never be answered by the original's entry.
+//! fresh on the production engine, then replayed through a cache: the
+//! hit must be bit-identical in outcomes and deterministic statistics to
+//! the fresh run. A final check mutates the program and asserts the
+//! mutant can never be answered by the original's entry.
 //!
-//! The pruned engine gets its own transparency property: its search
-//! counters legitimately differ from the serial engine's, but the
-//! engine-independent observables (outcome set, distinct execution
-//! count) must agree under every dedup configuration, so a cache entry
-//! filled by either engine answers for both.
+//! Mixed-engine traffic gets its own transparency property: the serial
+//! oracle's search counters legitimately differ from the production
+//! engine's, but the engine-independent observables (outcome set,
+//! distinct execution count) must agree under every dedup
+//! configuration, so a cache entry filled by either engine answers for
+//! both.
 
 use proptest::prelude::*;
 use rand::prelude::*;
 
 use samm::core::cache::{cached_enumerate, CachedResult, EnumCache};
-use samm::core::enumerate::{enumerate, EnumConfig};
+use samm::core::enumerate::{enumerate, enumerate_serial, EnumConfig};
 use samm::core::fingerprint::query_fingerprint;
 use samm::core::ids::Value;
 use samm::core::instr::{Instr, Operand, Program, ThreadProgram};
-use samm::core::parallel::enumerate_parallel;
 use samm::core::policy::Policy;
-use samm::core::pruned::enumerate_pruned;
 use samm::litmus::rand_prog::{random_program, RandConfig};
 
 fn chain() -> [Policy; 4] {
@@ -55,10 +51,10 @@ fn gen_config(branchy: bool) -> RandConfig {
     }
 }
 
-/// Asserts a [`CachedResult`] agrees with a fresh serial enumeration on
-/// the engine-independent observables: the outcome set and the distinct
-/// execution count. This is the contract every engine (serial, parallel,
-/// pruned) must satisfy; search-shape counters (`explored`, `forks`,
+/// Asserts a [`CachedResult`] agrees with a fresh enumeration on the
+/// engine-independent observables: the outcome set and the distinct
+/// execution count. This is the contract both engines (oracle and
+/// production) must satisfy; search-shape counters (`explored`, `forks`,
 /// `deduped`) are engine-specific and deliberately not compared here.
 fn assert_semantics_match_fresh(cached: &CachedResult, program: &Program, policy: &Policy) {
     let fresh = enumerate(program, policy, &fast()).expect("fresh enumeration succeeds");
@@ -86,7 +82,8 @@ fn assert_matches_fresh(cached: &CachedResult, program: &Program, policy: &Polic
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The core transparency property, in both fill orders.
+    /// The core transparency property: a hit returns the stored value,
+    /// which is the fresh run's answer bit for bit.
     #[test]
     fn prop_cache_hits_are_bit_identical_to_fresh_runs(
         seed in 0u64..1_000_000,
@@ -96,42 +93,25 @@ proptest! {
         let program = random_program(&mut rng, &gen_config(branchy));
         let config = fast();
         for policy in chain() {
-            // Serial fills, parallel hits.
             let cache = EnumCache::new(16);
-            let (serial_fill, hit) =
-                cached_enumerate(&cache, &program, &policy, &config, enumerate)
-                    .expect("fill succeeds");
+            let (fill, hit) = cached_enumerate(&cache, &program, &policy, &config, enumerate)
+                .expect("fill succeeds");
             prop_assert!(!hit, "empty cache cannot hit");
-            let (parallel_hit, hit) =
-                cached_enumerate(&cache, &program, &policy, &config, enumerate_parallel)
-                    .expect("hit succeeds");
+            let (replay, hit) = cached_enumerate(&cache, &program, &policy, &config, enumerate)
+                .expect("hit succeeds");
             prop_assert!(hit, "second lookup must hit");
-            prop_assert_eq!(&serial_fill, &parallel_hit, "hit must return the stored value");
-
-            // Parallel fills, serial hits: the stored value must be the
-            // same normalized answer, so mixed-engine traffic cannot
-            // observe which engine populated the entry.
-            let other = EnumCache::new(16);
-            let (parallel_fill, _) =
-                cached_enumerate(&other, &program, &policy, &config, enumerate_parallel)
-                    .expect("fill succeeds");
-            let (serial_hit, hit) =
-                cached_enumerate(&other, &program, &policy, &config, enumerate)
-                    .expect("hit succeeds");
-            prop_assert!(hit);
-            prop_assert_eq!(&parallel_fill, &serial_hit);
-            prop_assert_eq!(&serial_fill, &parallel_fill, "fill engines must agree bit-for-bit");
-
-            assert_matches_fresh(&serial_hit, &program, &policy);
+            prop_assert_eq!(&fill, &replay, "hit must return the stored value");
+            assert_matches_fresh(&replay, &program, &policy);
         }
     }
 
-    /// The pruned engine is cache-transparent: an entry it fills serves
-    /// serial traffic (and vice versa) with the same outcomes and the
-    /// same distinct-execution count, under both dedup configurations.
-    /// With dedup off the serial engine must collapse duplicate complete
-    /// behaviours even though no executions are kept — the pruned engine
-    /// always reports the collapsed count, so any drift fails here.
+    /// The production (pruned) engine is cache-transparent: an entry it
+    /// fills serves oracle traffic (and vice versa) with the same
+    /// outcomes and the same distinct-execution count, under both dedup
+    /// configurations. With dedup off the oracle must collapse duplicate
+    /// complete behaviours even though no executions are kept — the
+    /// pruned engine always reports the collapsed count, so any drift
+    /// fails here.
     #[test]
     fn prop_pruned_engine_is_cache_transparent(
         seed in 0u64..1_000_000,
@@ -145,27 +125,27 @@ proptest! {
             .dedup(dedup)
             .build();
         for policy in chain() {
-            // Pruned fills, serial hits.
+            // Production fills, oracle hits.
             let cache = EnumCache::new(16);
             let (pruned_fill, hit) =
-                cached_enumerate(&cache, &program, &policy, &config, enumerate_pruned)
+                cached_enumerate(&cache, &program, &policy, &config, enumerate)
                     .expect("pruned fill succeeds");
             prop_assert!(!hit, "empty cache cannot hit");
             let (serial_hit, hit) =
-                cached_enumerate(&cache, &program, &policy, &config, enumerate)
+                cached_enumerate(&cache, &program, &policy, &config, enumerate_serial)
                     .expect("hit succeeds");
             prop_assert!(hit, "second lookup must hit");
             prop_assert_eq!(&pruned_fill, &serial_hit, "hit must return the stored value");
             assert_semantics_match_fresh(&serial_hit, &program, &policy);
 
-            // Serial fills, pruned hits: the fingerprint is engine-
-            // independent, so the pruned replay lands on the entry.
+            // Oracle fills, production hits: the fingerprint is engine-
+            // independent, so the production replay lands on the entry.
             let other = EnumCache::new(16);
             let (serial_fill, _) =
-                cached_enumerate(&other, &program, &policy, &config, enumerate)
+                cached_enumerate(&other, &program, &policy, &config, enumerate_serial)
                     .expect("serial fill succeeds");
             let (pruned_hit, hit) =
-                cached_enumerate(&other, &program, &policy, &config, enumerate_pruned)
+                cached_enumerate(&other, &program, &policy, &config, enumerate)
                     .expect("hit succeeds");
             prop_assert!(hit);
             prop_assert_eq!(&serial_fill, &pruned_hit);

@@ -16,7 +16,7 @@
 //! Regenerate with:
 //! `cargo test --release --test golden_pruning -- --ignored --nocapture`
 
-use samm::core::enumerate::EnumConfig;
+use samm::core::enumerate::{enumerate_serial, EnumConfig};
 use samm::core::pruned::{enumerate_pruned_stats, PruneStats};
 use samm::litmus::{catalog, CatalogEntry, ModelSel};
 
@@ -201,14 +201,19 @@ fn pruning_counters_match_golden() {
 
 /// Cross-invariants that must hold for every row regardless of the
 /// concrete numbers: claims partition into pruned/expanded, in-place
-/// expansions are a subset of expansions, and orbit credit only exists
-/// under a nontrivial group.
+/// expansions are a subset of expansions, orbit credit only exists
+/// under a nontrivial group, and the serial oracle reaches the same
+/// executions while materializing at least as many forks.
 #[test]
 fn pruning_counters_satisfy_invariants() {
     for entry in entries() {
         for model in MODELS {
-            let (_, p) = measure(&entry, model);
+            let (distinct, p) = measure(&entry, model);
             let name = &entry.test.name;
+            let oracle = enumerate_serial(&entry.test.program, &model.policy(), &fresh_config())
+                .expect("oracle enumeration succeeds");
+            assert_eq!(distinct, oracle.stats.distinct_executions, "{name}");
+            assert!(p.expanded <= oracle.stats.forks as u64, "{name}");
             assert_eq!(
                 p.claims,
                 p.pruned_dominated + p.pruned_symmetric + p.expanded,

@@ -7,11 +7,9 @@ use rand::prelude::*;
 
 use samm::core::bitset::BitSet;
 use samm::core::closure::Closure;
-use samm::core::enumerate::{enumerate, EnumConfig};
+use samm::core::enumerate::{enumerate, enumerate_serial, EnumConfig};
 use samm::core::ids::NodeId;
-use samm::core::parallel::enumerate_parallel;
 use samm::core::policy::Policy;
-use samm::core::pruned::enumerate_pruned;
 use samm::core::serialize;
 use samm::litmus::rand_prog::{random_program, RandConfig};
 use samm::oper;
@@ -183,12 +181,12 @@ proptest! {
         prop_assert_eq!(graph, oper);
     }
 
-    /// Deduplication never changes the outcome set.
+    /// The oracle's deduplication never changes the outcome set.
     #[test]
     fn dedup_is_outcome_preserving(seed in any::<u64>()) {
         let prog = program_from_seed(seed, false);
-        let with = enumerate(&prog, &Policy::weak(), &quick_config()).unwrap().outcomes;
-        let without = enumerate(&prog, &Policy::weak(), &EnumConfig {
+        let with = enumerate_serial(&prog, &Policy::weak(), &quick_config()).unwrap().outcomes;
+        let without = enumerate_serial(&prog, &Policy::weak(), &EnumConfig {
             dedup: false,
             keep_executions: false,
             ..EnumConfig::default()
@@ -247,76 +245,6 @@ proptest! {
         }
     }
 
-    /// Differential: the work-stealing parallel enumerator yields exactly
-    /// the serial enumerator's outcome set and distinct-execution count,
-    /// on random programs, across the whole model chain (± speculation)
-    /// and across worker counts.
-    #[test]
-    fn parallel_matches_serial_differentially(
-        seed in any::<u64>(),
-        branchy in any::<bool>(),
-        workers in 2usize..=8,
-    ) {
-        let prog = program_from_seed(seed, branchy);
-        for policy in [
-            Policy::sequential_consistency(),
-            Policy::tso(),
-            Policy::pso(),
-            Policy::weak(),
-            Policy::weak().with_alias_speculation(true),
-        ] {
-            let serial = enumerate(&prog, &policy, &quick_config()).unwrap();
-            let par_config = EnumConfig {
-                parallelism: workers,
-                ..quick_config()
-            };
-            let parallel = enumerate_parallel(&prog, &policy, &par_config).unwrap();
-            prop_assert_eq!(
-                &serial.outcomes, &parallel.outcomes,
-                "outcome sets differ under {} at {} workers", policy.name(), workers
-            );
-            prop_assert_eq!(
-                serial.stats.distinct_executions, parallel.stats.distinct_executions,
-                "execution counts differ under {} at {} workers", policy.name(), workers
-            );
-        }
-    }
-
-    /// Differential, with executions kept: the parallel engine's execution
-    /// list is the serial engine's, sorted by canonical key.
-    #[test]
-    fn parallel_executions_are_serials_sorted(seed in any::<u64>(), workers in 2usize..=8) {
-        let prog = program_from_seed(seed, false);
-        let config = EnumConfig::default();
-        let serial = enumerate(&prog, &Policy::weak(), &config).unwrap();
-        let parallel = enumerate_parallel(&prog, &Policy::weak(), &EnumConfig {
-            parallelism: workers,
-            ..config
-        }).unwrap();
-        let mut serial_keys: Vec<Vec<u8>> =
-            serial.executions.iter().map(|b| b.canonical_key()).collect();
-        serial_keys.sort();
-        let parallel_keys: Vec<Vec<u8>> =
-            parallel.executions.iter().map(|b| b.canonical_key()).collect();
-        prop_assert_eq!(serial_keys, parallel_keys);
-    }
-
-    /// Differential over RMW programs: atomics fork through the same
-    /// refinement tree on both engines.
-    #[test]
-    fn parallel_matches_serial_on_rmws(seed in any::<u64>(), workers in 2usize..=8) {
-        let prog = rmw_program_from_seed(seed);
-        for policy in [Policy::tso(), Policy::weak()] {
-            let serial = enumerate(&prog, &policy, &quick_config()).unwrap();
-            let parallel = enumerate_parallel(&prog, &policy, &EnumConfig {
-                parallelism: workers,
-                ..quick_config()
-            }).unwrap();
-            prop_assert_eq!(&serial.outcomes, &parallel.outcomes);
-            prop_assert_eq!(serial.stats.distinct_executions, parallel.stats.distinct_executions);
-        }
-    }
-
     /// Differential: the prune-before-expand engine yields exactly the
     /// serial oracle's outcome set and distinct-execution count on random
     /// programs, across the whole model chain (± speculation). Dominance
@@ -335,8 +263,8 @@ proptest! {
             Policy::weak(),
             Policy::weak().with_alias_speculation(true),
         ] {
-            let serial = enumerate(&prog, &policy, &quick_config()).unwrap();
-            let pruned = enumerate_pruned(&prog, &policy, &quick_config()).unwrap();
+            let serial = enumerate_serial(&prog, &policy, &quick_config()).unwrap();
+            let pruned = enumerate(&prog, &policy, &quick_config()).unwrap();
             prop_assert_eq!(
                 &serial.outcomes, &pruned.outcomes,
                 "outcome sets differ under {}", policy.name()
@@ -355,8 +283,8 @@ proptest! {
     fn pruned_kept_executions_equal_serials(seed in any::<u64>(), branchy in any::<bool>()) {
         let prog = program_from_seed(seed, branchy);
         let config = EnumConfig::default();
-        let serial = enumerate(&prog, &Policy::weak(), &config).unwrap();
-        let pruned = enumerate_pruned(&prog, &Policy::weak(), &config).unwrap();
+        let serial = enumerate_serial(&prog, &Policy::weak(), &config).unwrap();
+        let pruned = enumerate(&prog, &Policy::weak(), &config).unwrap();
         let mut serial_keys: Vec<Vec<u8>> =
             serial.executions.iter().map(|b| b.canonical_key()).collect();
         serial_keys.sort();
@@ -373,8 +301,8 @@ proptest! {
     fn pruned_matches_serial_on_rmws(seed in any::<u64>()) {
         let prog = rmw_program_from_seed(seed);
         for policy in [Policy::tso(), Policy::weak()] {
-            let serial = enumerate(&prog, &policy, &quick_config()).unwrap();
-            let pruned = enumerate_pruned(&prog, &policy, &quick_config()).unwrap();
+            let serial = enumerate_serial(&prog, &policy, &quick_config()).unwrap();
+            let pruned = enumerate(&prog, &policy, &quick_config()).unwrap();
             prop_assert_eq!(&serial.outcomes, &pruned.outcomes);
             prop_assert_eq!(serial.stats.distinct_executions, pruned.stats.distinct_executions);
         }
@@ -388,8 +316,8 @@ proptest! {
         use samm::analyze::{analyze_static, StaticVerdict};
         let prog = program_from_seed(seed, branchy);
         for policy in [Policy::tso(), Policy::pso(), Policy::weak()] {
-            let weak = enumerate_pruned(&prog, &policy, &quick_config()).unwrap().outcomes;
-            let sc = enumerate_pruned(&prog, &Policy::sequential_consistency(), &quick_config())
+            let weak = enumerate(&prog, &policy, &quick_config()).unwrap().outcomes;
+            let sc = enumerate(&prog, &Policy::sequential_consistency(), &quick_config())
                 .unwrap().outcomes;
             match analyze_static(&prog, &policy) {
                 StaticVerdict::Robust(cert) => {
@@ -417,8 +345,8 @@ proptest! {
         use samm::analyze::{analyze_robustness, Robustness};
         let prog = program_from_seed(seed, branchy);
         for policy in [Policy::tso(), Policy::weak()] {
-            let weak = enumerate_pruned(&prog, &policy, &quick_config()).unwrap().outcomes;
-            let sc = enumerate_pruned(&prog, &Policy::sequential_consistency(), &quick_config())
+            let weak = enumerate(&prog, &policy, &quick_config()).unwrap().outcomes;
+            let sc = enumerate(&prog, &Policy::sequential_consistency(), &quick_config())
                 .unwrap().outcomes;
             match analyze_robustness(&prog, &policy, &quick_config()).unwrap() {
                 Robustness::Robust(_) => {

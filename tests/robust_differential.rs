@@ -27,10 +27,9 @@
 //! exactly those cases and is held to the two-sided contract here.
 
 use samm::analyze::{analyze_robustness, analyze_static, break_cycles, Robustness, StaticVerdict};
-use samm::core::enumerate::EnumConfig;
+use samm::core::enumerate::{enumerate, EnumConfig};
 use samm::core::instr::Program;
 use samm::core::policy::Policy;
-use samm::core::pruned::enumerate_pruned;
 use samm::litmus::fences::synthesize_fences;
 use samm::litmus::rand_prog::{random_program, RandConfig};
 use samm::litmus::{catalog, ModelSel};
@@ -56,8 +55,8 @@ fn fresh_config() -> EnumConfig {
 fn assert_verdict_sound(program: &Program, policy: &Policy, label: &str) {
     let config = fresh_config();
     let sc = Policy::sequential_consistency();
-    let weak_run = enumerate_pruned(program, policy, &config).expect("pruned oracle succeeds");
-    let sc_run = enumerate_pruned(program, &sc, &config).expect("pruned oracle succeeds");
+    let weak_run = enumerate(program, policy, &config).expect("enumeration succeeds");
+    let sc_run = enumerate(program, &sc, &config).expect("enumeration succeeds");
     let equal = weak_run.outcomes == sc_run.outcomes;
 
     match analyze_static(program, policy) {
@@ -292,10 +291,9 @@ fn break_cycles_placements_certify_against_the_oracle() {
                 entry.test.name,
                 model.name()
             );
-            let weak_run =
-                enumerate_pruned(&fenced, &policy, &config).expect("pruned oracle succeeds");
-            let sc_run = enumerate_pruned(&fenced, &Policy::sequential_consistency(), &config)
-                .expect("pruned oracle succeeds");
+            let weak_run = enumerate(&fenced, &policy, &config).expect("enumeration succeeds");
+            let sc_run = enumerate(&fenced, &Policy::sequential_consistency(), &config)
+                .expect("enumeration succeeds");
             assert_eq!(
                 weak_run.outcomes,
                 sc_run.outcomes,
