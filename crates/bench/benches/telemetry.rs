@@ -1,7 +1,7 @@
 //! Telemetry primitive cost (experiment E22): the histogram's hot-path
 //! `record`, snapshot merging, and an A/B of the serve-side telemetry
-//! wrapper on the enumerate path — `handle_traced` with live histograms
-//! versus the bare handler work. The bar mirrors E19's: per-request
+//! wrapper on the enumerate path — `handle_envelope` with live
+//! histograms, observed versus unobserved enumeration. The bar mirrors E19's: per-request
 //! telemetry cost must be noise against real enumeration work.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use samm_core::cache::EnumCache;
 use samm_core::telemetry::Histogram;
 use samm_serve::handler::{self, ServerState};
-use samm_serve::protocol::{EngineSel, Request};
+use samm_serve::protocol::{EngineSel, Envelope, Request};
 use samm_serve::telemetry::Telemetry;
 
 fn bench_histogram(c: &mut Criterion) {
@@ -57,7 +57,7 @@ fn bench_histogram(c: &mut Criterion) {
 }
 
 /// The A/B that matters for the service: a fresh enumerate request
-/// through `handle_traced` (full telemetry: id, histograms, slow-path
+/// through `handle_envelope` (full telemetry: id, histograms, slow-path
 /// check, obs folding) versus through a state whose request never
 /// reaches the latency-tracked path. Cache capacity 0 would poison the
 /// comparison, so both sides use a fresh cache per iteration — each
@@ -65,11 +65,15 @@ fn bench_histogram(c: &mut Criterion) {
 fn bench_request_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry/enumerate");
     group.sample_size(20);
-    let request = Request::Enumerate {
-        test: "IRIW".into(),
-        model: "Weak".into(),
-        budget: None,
-        engine: EngineSel::Pruned,
+    let envelope = Envelope {
+        id: Some("bench".to_owned()),
+        request: Request::Enumerate {
+            test: "IRIW".into(),
+            model: "Weak".into(),
+            budget: None,
+            engine: EngineSel::Pruned,
+        },
+        trace: None,
     };
     for (label, observe) in [("observed", true), ("disabled", false)] {
         group.bench_with_input(
@@ -83,7 +87,7 @@ fn bench_request_overhead(c: &mut Criterion) {
                         Telemetry::default(),
                         observe,
                     );
-                    let response = handler::handle_traced(&state, &request, Some("bench"));
+                    let response = handler::handle_envelope(&state, &envelope);
                     std::hint::black_box(response)
                 });
             },

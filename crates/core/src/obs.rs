@@ -12,10 +12,12 @@
 //!   pointer-null check per site — see experiment E19 for the measured
 //!   overhead.
 //! * [`TraceSink`] — a structured event stream of fork / prune / commit
-//!   events emitted by the *serial* enumerator. Replaying the fork
+//!   events emitted only by the serial oracle. Replaying the fork
 //!   ancestry of a committed behaviour reconstructs exactly which
 //!   `(load, store)` resolutions produced it; [`crate::explain`] builds
-//!   witnesses and refutations on top of it.
+//!   witnesses and refutations on top of it. The production engine's
+//!   claim prunes are counted in [`crate::pruned::PruneStats`], not
+//!   streamed.
 //!
 //! No external dependencies: the JSON emitted by [`ObsStats::to_json`]
 //! is hand-rolled (flat objects of unsigned integers only).
@@ -172,14 +174,6 @@ pub enum PruneReason {
     /// The resolution violated Store Atomicity (closure cycle) and was
     /// rolled back — or, for non-speculative models, failed outright.
     Inconsistent,
-    /// Prune-before-expand: the fork's observation set was already
-    /// claimed by an equal partial behaviour, so it was skipped without
-    /// ever being materialized (dominance / sleep-set pruning).
-    Dominated,
-    /// Prune-before-expand: the fork's observation set is a thread
-    /// permutation of a claimed one; its executions are credited to the
-    /// representative's orbit instead of being explored.
-    Symmetric,
 }
 
 impl fmt::Display for PruneReason {
@@ -187,8 +181,6 @@ impl fmt::Display for PruneReason {
         f.write_str(match self {
             PruneReason::Duplicate => "duplicate",
             PruneReason::Inconsistent => "inconsistent",
-            PruneReason::Dominated => "dominated",
-            PruneReason::Symmetric => "symmetric",
         })
     }
 }
@@ -225,8 +217,8 @@ pub enum TraceEvent {
 }
 
 /// A sink for [`TraceEvent`]s. Implementations must be thread-safe even
-/// though only the serial engine currently emits events, so a sink can
-/// be shared across harness threads.
+/// though only the serial oracle emits events, so a sink can be shared
+/// across harness threads.
 pub trait TraceSink: Send + Sync + fmt::Debug {
     /// Records one event.
     fn record(&self, event: TraceEvent);

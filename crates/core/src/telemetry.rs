@@ -16,13 +16,9 @@
 //! * [`RateCounter`] — a ring of one-second slots answering "how many
 //!   events in the last *w* seconds".
 //! * [`RequestIdGen`] — cheap process-unique request identifiers.
-//! * [`JsonlLog`] — an append-only JSONL file with size-based rotation,
-//!   used for slow-query logs; [`MemorySink`] is the in-memory test
-//!   double. [`jsonl_event`] renders one machine-parseable line.
-//! * [`TraceCounters`] — an [`crate::obs::TraceSink`] adapter that reduces the
-//!   serial enumerator's fork/prune/commit event stream to four
-//!   counters, so a server can aggregate per-phase activity without
-//!   buffering events.
+//! * [`JsonlLog`] — an append-only JSONL span file with size-based
+//!   rotation: the sink behind a server's trace log and its
+//!   duration-filtered slow-query log.
 //! * [`prom`] — rendering *and validation* of the Prometheus text
 //!   exposition format (version 0.0.4), with no external dependencies.
 //! * [`trace`] — distributed tracing spans: trace/span identifiers that
@@ -39,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::obs::{PruneReason, TraceEvent, TraceSink};
+use trace::{SpanRecord, SpanSink};
 
 /// Sub-bucket resolution: each power-of-two range is split into
 /// `2^SUB_BITS` linear sub-buckets.
@@ -380,19 +376,6 @@ impl RequestIdGen {
     }
 }
 
-/// A value in a [`jsonl_event`] record.
-#[derive(Debug, Clone, Copy)]
-pub enum FieldValue<'a> {
-    /// A JSON string (escaped on render).
-    Str(&'a str),
-    /// An unsigned integer.
-    U64(u64),
-    /// A float (rendered with enough precision for milliseconds).
-    F64(f64),
-    /// A boolean.
-    Bool(bool),
-}
-
 /// Escapes a string for embedding in a JSON literal.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -408,65 +391,6 @@ pub fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Renders one flat JSONL event (no trailing newline): field order is
-/// preserved as given.
-pub fn jsonl_event(fields: &[(&str, FieldValue<'_>)]) -> String {
-    let mut out = String::from("{");
-    for (i, (key, value)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(&json_escape(key));
-        out.push_str("\":");
-        match value {
-            FieldValue::Str(s) => {
-                out.push('"');
-                out.push_str(&json_escape(s));
-                out.push('"');
-            }
-            FieldValue::U64(n) => out.push_str(&n.to_string()),
-            FieldValue::F64(x) => out.push_str(&format!("{x:.3}")),
-            FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        }
-    }
-    out.push('}');
-    out
-}
-
-/// A sink for JSONL event lines.
-pub trait EventSink: Send + Sync + fmt::Debug {
-    /// Appends one line (no trailing newline in `line`).
-    fn emit(&self, line: &str);
-}
-
-/// In-memory sink for tests.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    lines: Mutex<Vec<String>>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        MemorySink::default()
-    }
-
-    /// Every line emitted so far.
-    pub fn lines(&self) -> Vec<String> {
-        self.lines.lock().expect("sink poisoned").clone()
-    }
-}
-
-impl EventSink for MemorySink {
-    fn emit(&self, line: &str) {
-        self.lines
-            .lock()
-            .expect("sink poisoned")
-            .push(line.to_owned());
-    }
 }
 
 struct JsonlInner {
@@ -532,14 +456,12 @@ impl JsonlLog {
         let mut inner = self.inner.lock().expect("log poisoned");
         if inner.written >= self.max_bytes {
             inner.file = None; // close before rename (Windows-friendly)
-            std::fs::rename(&self.path, self.rotated_path())?;
-            inner.file = Some(
-                OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&self.path)?,
-            );
-            inner.written = 0;
+            match std::fs::rename(&self.path, self.rotated_path()) {
+                // A live file removed from under the log (by hand or by
+                // logrotate) leaves nothing to rotate: start afresh.
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+                _ => inner.written = 0,
+            }
         }
         if inner.file.is_none() {
             inner.file = Some(
@@ -557,81 +479,11 @@ impl JsonlLog {
     }
 }
 
-impl EventSink for JsonlLog {
-    fn emit(&self, line: &str) {
-        if self.try_emit(line).is_err() {
+impl SpanSink for JsonlLog {
+    fn record_span(&self, span: SpanRecord) {
+        if self.try_emit(&span.to_jsonl()).is_err() {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-    }
-}
-
-/// Reduces the serial enumerator's [`TraceEvent`] stream to phase
-/// counters — the aggregation hook a server folds into its telemetry
-/// instead of buffering every event like [`crate::obs::MemoryTrace`].
-#[derive(Debug, Default)]
-pub struct TraceCounters {
-    /// Fork events (one per attempted `(load, store)` resolution).
-    pub forks: AtomicU64,
-    /// Prunes with [`PruneReason::Duplicate`] (dedup hits).
-    pub prunes_duplicate: AtomicU64,
-    /// Prunes with [`PruneReason::Inconsistent`] (rollbacks/failures).
-    pub prunes_inconsistent: AtomicU64,
-    /// Prunes with [`PruneReason::Dominated`] (pre-expansion claim hits).
-    pub prunes_dominated: AtomicU64,
-    /// Prunes with [`PruneReason::Symmetric`] (orbit-folded forks).
-    pub prunes_symmetric: AtomicU64,
-    /// Commit events (behaviours yielded).
-    pub commits: AtomicU64,
-}
-
-impl TraceCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        TraceCounters::default()
-    }
-
-    /// A `(forks, dup prunes, inconsistent prunes, commits)` snapshot.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.forks.load(Ordering::Relaxed),
-            self.prunes_duplicate.load(Ordering::Relaxed),
-            self.prunes_inconsistent.load(Ordering::Relaxed),
-            self.commits.load(Ordering::Relaxed),
-        )
-    }
-
-    /// A `(dominated, symmetric)` snapshot of the prune-before-expand
-    /// counters (zero for traces from the serial engine).
-    pub fn snapshot_pruned(&self) -> (u64, u64) {
-        (
-            self.prunes_dominated.load(Ordering::Relaxed),
-            self.prunes_symmetric.load(Ordering::Relaxed),
-        )
-    }
-}
-
-impl TraceSink for TraceCounters {
-    fn record(&self, event: TraceEvent) {
-        match event {
-            TraceEvent::Fork { .. } => self.forks.fetch_add(1, Ordering::Relaxed),
-            TraceEvent::Prune {
-                reason: PruneReason::Duplicate,
-                ..
-            } => self.prunes_duplicate.fetch_add(1, Ordering::Relaxed),
-            TraceEvent::Prune {
-                reason: PruneReason::Inconsistent,
-                ..
-            } => self.prunes_inconsistent.fetch_add(1, Ordering::Relaxed),
-            TraceEvent::Prune {
-                reason: PruneReason::Dominated,
-                ..
-            } => self.prunes_dominated.fetch_add(1, Ordering::Relaxed),
-            TraceEvent::Prune {
-                reason: PruneReason::Symmetric,
-                ..
-            } => self.prunes_symmetric.fetch_add(1, Ordering::Relaxed),
-            TraceEvent::Commit { .. } => self.commits.fetch_add(1, Ordering::Relaxed),
-        };
     }
 }
 
@@ -1145,33 +997,5 @@ mod tests {
         assert!((rc.rate_at(10, 1) - 10.0).abs() < 1e-9);
         // Far in the future every slot is stale.
         assert_eq!(rc.rate_at(1000, 5), 0.0);
-    }
-
-    #[test]
-    fn jsonl_event_escapes() {
-        let line = jsonl_event(&[
-            ("id", FieldValue::Str("a\"b")),
-            ("n", FieldValue::U64(3)),
-            ("ok", FieldValue::Bool(true)),
-        ]);
-        assert_eq!(line, "{\"id\":\"a\\\"b\",\"n\":3,\"ok\":true}");
-    }
-
-    #[test]
-    fn trace_counters_reduce_events() {
-        use crate::ids::NodeId;
-        let tc = TraceCounters::new();
-        tc.record(TraceEvent::Fork {
-            parent: 0,
-            child: 1,
-            load: NodeId::new(1),
-            store: NodeId::new(0),
-        });
-        tc.record(TraceEvent::Prune {
-            child: 1,
-            reason: PruneReason::Duplicate,
-        });
-        tc.record(TraceEvent::Commit { id: 0 });
-        assert_eq!(tc.snapshot(), (1, 1, 0, 1));
     }
 }

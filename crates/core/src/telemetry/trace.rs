@@ -13,20 +13,19 @@
 //!   a single atomic `fetch_add`; writers never contend on a global
 //!   lock (each slot is independently locked and uncontended except
 //!   when the ring wraps onto an in-flight writer).
-//! * [`SpanWriter`] — renders each span as one JSONL line into any
-//!   [`super::EventSink`] (a rotating [`super::JsonlLog`] in
-//!   production, [`super::MemorySink`] in tests).
+//! * [`super::JsonlLog`] — renders each span as one JSONL line
+//!   ([`SpanRecord::to_jsonl`]) into a rotating file.
 //!
 //! Parsing a wire context is *lenient by design*: any malformed
 //! `trace` value decodes to `None` and the receiver starts a fresh
 //! root span — tracing must never turn a valid request into an error.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use super::{jsonl_event, EventSink, FieldValue};
+use super::json_escape;
 
 /// The propagated identity of a span: enough for a remote callee to
 /// attach its own spans under the caller's. Wire form is
@@ -153,30 +152,29 @@ impl SpanRecord {
     /// Renders the span as one flat JSONL line (no trailing newline):
     /// the fixed fields first, then every attribute as its own member.
     pub fn to_jsonl(&self) -> String {
-        let trace = format!("{:016x}", self.trace);
-        let span = format!("{:016x}", self.span);
-        let parent = format!("{:016x}", self.parent);
-        let mut fields: Vec<(&str, FieldValue<'_>)> = vec![
-            ("trace", FieldValue::Str(&trace)),
-            ("span", FieldValue::Str(&span)),
-            ("parent", FieldValue::Str(&parent)),
-            ("name", FieldValue::Str(self.name)),
-            ("kind", FieldValue::Str(self.kind.name())),
-            ("start_ns", FieldValue::U64(self.start_unix_ns)),
-            ("dur_ns", FieldValue::U64(self.dur_ns)),
-        ];
+        let mut out = format!(
+            "{{\"trace\":\"{:016x}\",\"span\":\"{:016x}\",\"parent\":\"{:016x}\",\
+             \"name\":\"{}\",\"kind\":\"{}\",\"start_ns\":{},\"dur_ns\":{}",
+            self.trace,
+            self.span,
+            self.parent,
+            json_escape(self.name),
+            self.kind.name(),
+            self.start_unix_ns,
+            self.dur_ns,
+        );
         for (key, value) in &self.attrs {
-            fields.push((
-                key,
-                match value {
-                    Attr::Static(s) => FieldValue::Str(s),
-                    Attr::Str(s) => FieldValue::Str(s),
-                    Attr::U64(n) => FieldValue::U64(*n),
-                    Attr::Bool(b) => FieldValue::Bool(*b),
-                },
-            ));
+            // Writing into a `String` cannot fail.
+            let _ = write!(out, ",\"{}\":", json_escape(key));
+            let _ = match value {
+                Attr::Static(s) => write!(out, "\"{}\"", json_escape(s)),
+                Attr::Str(s) => write!(out, "\"{}\"", json_escape(s)),
+                Attr::U64(n) => write!(out, "{n}"),
+                Attr::Bool(b) => write!(out, "{b}"),
+            };
         }
-        jsonl_event(&fields)
+        out.push('}');
+        out
     }
 }
 
@@ -290,6 +288,15 @@ impl ActiveSpan {
     /// Stamps the duration and returns the record without recording it
     /// (for callers that batch or decorate records themselves).
     pub fn into_record(self) -> SpanRecord {
+        let elapsed = self.started.elapsed();
+        self.into_timed_record(elapsed)
+    }
+
+    /// As [`ActiveSpan::into_record`], stamping `elapsed` instead of
+    /// reading the span's own clock — how a caller that already timed
+    /// the work keeps the span and its latency histogram on one
+    /// measurement.
+    pub fn into_timed_record(self, elapsed: Duration) -> SpanRecord {
         SpanRecord {
             trace: self.trace,
             span: self.span,
@@ -297,7 +304,7 @@ impl ActiveSpan {
             name: self.name,
             kind: self.kind,
             start_unix_ns: self.start_unix_ns,
-            dur_ns: u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            dur_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
             attrs: self.attrs,
         }
     }
@@ -367,32 +374,9 @@ impl SpanSink for TraceRing {
     }
 }
 
-/// Adapts any [`EventSink`] into a [`SpanSink`] by rendering each span
-/// as one JSONL line — the production exporter over a rotating
-/// [`super::JsonlLog`].
-#[derive(Debug)]
-pub struct SpanWriter {
-    sink: std::sync::Arc<dyn EventSink>,
-}
-
-impl SpanWriter {
-    /// Wraps `sink`; the `Arc` lets tests keep a reading handle.
-    pub fn new(sink: std::sync::Arc<dyn EventSink>) -> SpanWriter {
-        SpanWriter { sink }
-    }
-}
-
-impl SpanSink for SpanWriter {
-    fn record_span(&self, span: SpanRecord) {
-        self.sink.emit(&span.to_jsonl());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::MemorySink;
-    use std::sync::Arc;
 
     #[test]
     fn context_round_trips_and_rejects_garbage() {
@@ -481,13 +465,26 @@ mod tests {
     }
 
     #[test]
-    fn span_writer_emits_jsonl() {
-        let sink = Arc::new(MemorySink::new());
-        let writer = SpanWriter::new(Arc::clone(&sink) as Arc<dyn EventSink>);
-        ActiveSpan::root("server", SpanKind::Server).finish(&writer);
-        let lines = sink.lines();
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].starts_with("{\"trace\":\""));
-        assert!(lines[0].contains("\"dur_ns\":"));
+    fn to_jsonl_escapes_attribute_strings() {
+        let record = SpanRecord {
+            trace: 1,
+            span: 2,
+            parent: 0,
+            name: "server",
+            kind: SpanKind::Server,
+            start_unix_ns: 5,
+            dur_ns: 7,
+            attrs: vec![
+                ("id", Attr::Str("a\"b\u{1}c".to_owned())),
+                ("n", Attr::U64(3)),
+                ("ok", Attr::Bool(true)),
+            ],
+        };
+        assert_eq!(
+            record.to_jsonl(),
+            "{\"trace\":\"0000000000000001\",\"span\":\"0000000000000002\",\
+             \"parent\":\"0000000000000000\",\"name\":\"server\",\"kind\":\"server\",\
+             \"start_ns\":5,\"dur_ns\":7,\"id\":\"a\\\"b\\u0001c\",\"n\":3,\"ok\":true}"
+        );
     }
 }

@@ -1,9 +1,10 @@
 //! Integration tests of the telemetry primitives: histogram quantiles
 //! against an exact sorted-corpus oracle (the contract `samm-load`
 //! relies on after dropping its sorted `Vec`), merge commutativity,
-//! slow-log rotation, the Prometheus text-format checker, and the rate
-//! window's deterministic clock hooks.
+//! span-log rotation (and recovery from a removed file), the Prometheus
+//! text-format checker, and the rate window's deterministic clock hooks.
 
+use samm_core::telemetry::trace::{ActiveSpan, SpanKind, SpanRecord, SpanSink};
 use samm_core::telemetry::{prom, Histogram, JsonlLog, RateCounter};
 
 /// A deterministic LCG latency corpus spanning microseconds to seconds
@@ -106,34 +107,68 @@ fn merge_is_order_independent_and_lossless() {
     assert_eq!(forward, whole.snapshot());
 }
 
+/// A finished `server` span with a fixed duration and a fixed-width id
+/// attribute, so every rendered line has the same length.
+fn span(i: u64) -> SpanRecord {
+    let mut span = ActiveSpan::root("server", SpanKind::Server);
+    span.attr("id", format!("r{i:04}"));
+    span.into_timed_record(std::time::Duration::from_micros(1))
+}
+
+/// A fresh scratch directory for one log test.
+fn log_dir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("samm-{test}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 #[test]
 fn jsonl_log_rotates_at_the_size_limit() {
-    use samm_core::telemetry::EventSink;
-    let dir = std::env::temp_dir().join(format!("samm-telemetry-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = log_dir("log-rotation");
     let path = dir.join("slow.jsonl");
-    let _ = std::fs::remove_file(&path);
+    let line_len = span(0).to_jsonl().len() as u64;
+    let limit = 4 * line_len;
 
-    let log = JsonlLog::open(&path, 256).unwrap();
+    let log = JsonlLog::open(&path, limit).unwrap();
     let rotated = log.rotated_path();
-    let line = format!("{{\"pad\":\"{}\"}}", "x".repeat(60));
-    for _ in 0..12 {
-        log.emit(&line);
+    for i in 0..12 {
+        log.record_span(span(i));
     }
     assert_eq!(log.dropped(), 0);
     assert!(path.exists());
     assert!(rotated.exists(), "rotation must have produced {rotated:?}");
-    // One rotation generation is kept: both files hold intact JSONL
-    // lines and each stays within the limit (plus the line that tipped
-    // it over).
+    // One rotation generation is kept: both files hold intact span
+    // records and each stays within the limit (plus the line that
+    // tipped it over).
     for file in [&path, &rotated] {
         let content = std::fs::read_to_string(file).unwrap();
         assert!(content.lines().count() > 0, "{file:?} must be non-empty");
         for l in content.lines() {
-            assert_eq!(l, line);
+            assert_eq!(l.len() as u64, line_len, "{l}");
+            assert!(l.starts_with("{\"trace\":\"") && l.contains("\"name\":\"server\""));
         }
-        assert!(content.len() as u64 <= 256 + line.len() as u64 + 1);
+        assert!(content.len() as u64 <= limit + line_len + 1);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn jsonl_log_recovers_when_its_file_is_removed() {
+    let dir = log_dir("log-removed");
+    let path = dir.join("slow.jsonl");
+    let log = JsonlLog::open(&path, 64).unwrap();
+    // One span line alone is over the limit, so the next write rotates.
+    log.record_span(span(1));
+    std::fs::remove_file(&path).unwrap();
+    // Nothing is left to rotate: the log starts a fresh file instead of
+    // failing every later write.
+    let fresh = span(2);
+    let line = fresh.to_jsonl();
+    log.record_span(fresh);
+    assert_eq!(log.dropped(), 0);
+    let content = std::fs::read_to_string(&path).expect("the live file is back");
+    assert_eq!(content, format!("{line}\n"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

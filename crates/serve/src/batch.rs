@@ -18,7 +18,8 @@ use crate::protocol::{Envelope, ServiceError};
 /// Executes a parsed batch. `parent_id` is the batch envelope's
 /// effective id — slots without a client id get a distinct
 /// `{parent_id}.{slot}` child id — and `span` the batch's server span,
-/// under which every slot opens its own child.
+/// under which every slot opens its own `sub` span (so a slow slot in
+/// the slow log names its envelope through its `parent` field).
 pub(crate) fn execute(
     state: &ServerState,
     subs: &[Result<Envelope, ServiceError>],
@@ -40,10 +41,10 @@ pub(crate) fn execute(
                         .id
                         .clone()
                         .unwrap_or_else(|| format!("{parent_id}.{index}"));
-                    handle_sub(state, env, &id, ctx, parent_id)
+                    handle_sub(state, env, &id, ctx)
                 }
                 Err(err) => {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
+                    state.telemetry.errors.fetch_add(1, Ordering::Relaxed);
                     err.to_response()
                 }
             };
@@ -196,8 +197,8 @@ mod tests {
         assert_eq!(batched.cache.stats().hits, singles.cache.stats().hits);
         assert_eq!(batched.cache.stats().misses, singles.cache.stats().misses);
         // The batch line counts once; its subs do not inflate requests.
-        assert_eq!(batched.counters.requests.load(Ordering::Relaxed), 1);
-        assert_eq!(singles.counters.requests.load(Ordering::Relaxed), 3);
+        assert_eq!(batched.telemetry.requests.load(Ordering::Relaxed), 1);
+        assert_eq!(singles.telemetry.requests.load(Ordering::Relaxed), 3);
         // Sub-kind latency telemetry still flows per sub-request.
         assert_eq!(batched.telemetry.kinds[0].total(), 3);
         assert_eq!(batched.telemetry.kinds[5].total(), 1);

@@ -38,7 +38,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use samm_core::cache::EnumCache;
-use samm_core::telemetry::trace::SpanWriter;
 use samm_core::telemetry::JsonlLog;
 
 use crate::handler::{self, ServerState};
@@ -226,17 +225,19 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
             cache.load_from(path)?;
         }
     }
-    let mut telemetry = match &config.slow_log {
-        Some(path) => Telemetry::with_slow_log(
-            path.clone(),
-            config.slow_threshold,
-            config.slow_log_max_bytes,
-        )?,
-        None => Telemetry::default(),
-    };
+    let mut telemetry = Telemetry::default();
     if let Some(path) = &config.trace_log {
-        let log = JsonlLog::open(path.clone(), config.trace_log_max_bytes)?;
-        telemetry.spans = Some(Box::new(SpanWriter::new(Arc::new(log))));
+        telemetry.spans = Some(Box::new(JsonlLog::open(
+            path.clone(),
+            config.trace_log_max_bytes,
+        )?));
+    }
+    if let Some(path) = &config.slow_log {
+        telemetry.slow = Some(Box::new(JsonlLog::open(
+            path.clone(),
+            config.slow_log_max_bytes,
+        )?));
+        telemetry.slow_threshold = config.slow_threshold;
     }
     let state = ServerState::with_telemetry(cache, config.budget, telemetry, config.observe);
 
@@ -513,7 +514,7 @@ impl EventLoop {
             if self.shared.conn_count.load(Ordering::SeqCst) >= self.shared.max_connections {
                 self.shared
                     .state
-                    .counters
+                    .telemetry
                     .overloaded
                     .fetch_add(1, Ordering::Relaxed);
                 reject_overloaded(stream, self.shared.retry_after_ms);
@@ -821,7 +822,7 @@ fn execute_line(state: &ServerState, line: &str) -> (String, bool) {
         }
         Err(err) => {
             // Count the attempt too: `requests` tracks lines seen.
-            state.counters.requests.fetch_add(1, Ordering::Relaxed);
+            state.telemetry.requests.fetch_add(1, Ordering::Relaxed);
             (handler::error_response(state, &err).to_string(), false)
         }
     }

@@ -26,35 +26,16 @@ use crate::json::Json;
 use crate::protocol::{EngineSel, Envelope, ErrorKind, Request, ServiceError};
 use crate::telemetry::{kind_index, ReqOutcome, Telemetry, KIND_NAMES};
 
-/// Monotonic counters the `metrics` request reports.
-#[derive(Debug, Default)]
-pub struct Counters {
-    /// Service requests parsed and executed (including ones that
-    /// failed) — *excluding* monitoring requests (`metrics` /
-    /// `metrics_prom`), which are tallied in
-    /// [`Counters::monitoring`] so self-observation never skews the
-    /// service rates.
-    pub requests: AtomicU64,
-    /// Monitoring requests (`metrics` / `metrics_prom`).
-    pub monitoring: AtomicU64,
-    /// Requests answered with a structured error.
-    pub errors: AtomicU64,
-    /// Connections rejected because the server was at its
-    /// `max_connections` limit.
-    pub overloaded: AtomicU64,
-}
-
 /// State shared by every worker: the enumeration cache, the default
-/// fork budget, the metrics counters, and the telemetry block.
+/// fork budget, and the telemetry block.
 #[derive(Debug)]
 pub struct ServerState {
     /// The content-addressed enumeration cache.
     pub cache: EnumCache,
     /// Fork budget applied to requests that do not carry their own.
     pub default_budget: Option<u64>,
-    /// Metrics counters.
-    pub counters: Counters,
-    /// Latency histograms, rates, obs aggregation, slow-query log.
+    /// Request counters, latency histograms, rates, obs aggregation,
+    /// span sinks.
     pub telemetry: Telemetry,
     /// Whether enumerations run instrumented
     /// ([`EnumConfig::observe`]), feeding the aggregated closure-rule
@@ -109,7 +90,7 @@ impl Flight {
 
 impl ServerState {
     /// Builds state with a cache of the given geometry, default
-    /// telemetry (no slow log), and instrumentation on.
+    /// telemetry (no span sinks), and instrumentation on.
     pub fn new(cache: EnumCache, default_budget: Option<u64>) -> Self {
         ServerState::with_telemetry(cache, default_budget, Telemetry::default(), true)
     }
@@ -125,7 +106,6 @@ impl ServerState {
         ServerState {
             cache,
             default_budget,
-            counters: Counters::default(),
             telemetry,
             observe,
             flights: Mutex::new(HashMap::new()),
@@ -146,11 +126,8 @@ impl ServerState {
 
     /// Renders the Prometheus exposition for the current state.
     pub fn render_prom(&self) -> String {
-        self.telemetry.render_prom(
-            self.counters.overloaded.load(Ordering::Relaxed),
-            &self.cache.stats(),
-            &self.cache.shard_stats(),
-        )
+        self.telemetry
+            .render_prom(&self.cache.stats(), &self.cache.shard_stats())
     }
 }
 
@@ -159,20 +136,13 @@ impl ServerState {
 /// objects. `Shutdown` is answered with a plain ok — the connection
 /// loop, not this function, performs the drain.
 pub fn handle(state: &ServerState, request: &Request) -> Json {
-    handle_traced(state, request, None)
+    handle_inner(state, request, None, true, None)
 }
 
-/// As [`handle`], echoing `id` (or a server-assigned one) in the
-/// response and recording latency telemetry: per-kind histograms split
-/// by hit/miss/overbudget, the request-rate window, and the slow-query
-/// log.
-pub fn handle_traced(state: &ServerState, request: &Request, id: Option<&str>) -> Json {
-    handle_inner(state, request, id, true, None, None)
-}
-
-/// Executes a parsed envelope: as [`handle_traced`], continuing the
-/// envelope's propagated `trace` context. The entry point the server
-/// uses for every request line.
+/// Executes a parsed envelope — the entry point the server uses for
+/// every request line: as [`handle`], echoing the envelope's `id` (or a
+/// server-assigned one) in the response and continuing its propagated
+/// `trace` context.
 pub fn handle_envelope(state: &ServerState, envelope: &Envelope) -> Json {
     handle_inner(
         state,
@@ -180,23 +150,21 @@ pub fn handle_envelope(state: &ServerState, envelope: &Envelope) -> Json {
         envelope.id.as_deref(),
         true,
         envelope.trace,
-        None,
     )
 }
 
 /// Executes one sub-request of a batch: per-kind latency telemetry and
-/// the slow-query log still apply, but the top-level `requests` counter
+/// the span logs still apply, but the top-level `requests` counter
 /// does not — the batch line was already counted once. `id` is the
 /// slot's effective id (the client's, or a `{parent}.{slot}` child id
-/// derived by the batch layer), `ctx` the batch span's context, and
-/// `parent` the enclosing envelope's id for the slow-query log. A
-/// sub-envelope's own `trace` field, when present, wins over `ctx`.
+/// derived by the batch layer) and `ctx` the batch span's context, so
+/// the slot's `sub` span names the batch's `server` span as its parent.
+/// A sub-envelope's own `trace` field, when present, wins over `ctx`.
 pub(crate) fn handle_sub(
     state: &ServerState,
     envelope: &Envelope,
     id: &str,
     ctx: Option<TraceContext>,
-    parent: &str,
 ) -> Json {
     handle_inner(
         state,
@@ -204,7 +172,6 @@ pub(crate) fn handle_sub(
         Some(id),
         false,
         envelope.trace.or(ctx),
-        Some(parent),
     )
 }
 
@@ -214,46 +181,44 @@ fn handle_inner(
     id: Option<&str>,
     top_level: bool,
     ctx: Option<TraceContext>,
-    batch_parent: Option<&str>,
 ) -> Json {
-    let id = id.map_or_else(|| state.telemetry.ids.next_id(), str::to_owned);
+    let telemetry = &state.telemetry;
+    let id = id.map_or_else(|| telemetry.ids.next_id(), str::to_owned);
     let kind = kind_index(request);
     match (kind, request) {
         (Some(_), _) | (None, Request::Shutdown) => {
             // Batch sub-requests are not re-counted: the batch line
             // itself was counted once at the top level.
             if top_level {
-                state.counters.requests.fetch_add(1, Ordering::Relaxed);
+                telemetry.requests.fetch_add(1, Ordering::Relaxed);
             }
         }
         (None, _) => {
             // Monitoring traffic is tallied even inside batches — the
             // split exists so self-observation never skews `requests`.
-            state.counters.monitoring.fetch_add(1, Ordering::Relaxed);
-            state.telemetry.monitoring.fetch_add(1, Ordering::Relaxed);
+            telemetry.monitoring.fetch_add(1, Ordering::Relaxed);
         }
     };
     // A server span per latency-tracked request — skipped entirely when
-    // tracing is off (no sink configured AND no propagated context), so
-    // the untraced path pays nothing. With a context but no sink, span
+    // no span sink is configured AND no context was propagated, so the
+    // untraced path pays one branch. With a context but no sink, span
     // ids still flow downstream so remote parentage stays intact.
     // Monitoring/control kinds are never spanned: a polling samm-top
     // must not flood the trace log.
-    let mut span = if kind.is_some() && (state.telemetry.spans.is_some() || ctx.is_some()) {
-        let mut span = match ctx {
-            Some(ctx) => ActiveSpan::continue_trace(
-                ctx,
-                if top_level { "server" } else { "sub" },
-                SpanKind::Server,
-            ),
-            None => ActiveSpan::root("server", SpanKind::Server),
-        };
-        if let Some(k) = kind {
+    let span = match kind {
+        Some(k) if telemetry.spans.is_some() || telemetry.slow.is_some() || ctx.is_some() => {
+            let mut span = match ctx {
+                Some(ctx) => ActiveSpan::continue_trace(
+                    ctx,
+                    if top_level { "server" } else { "sub" },
+                    SpanKind::Server,
+                ),
+                None => ActiveSpan::root("server", SpanKind::Server),
+            };
             span.attr("req", KIND_NAMES[k]);
+            Some(span)
         }
-        Some(span)
-    } else {
-        None
+        _ => None,
     };
     let started = Instant::now();
     let result = match request {
@@ -297,20 +262,9 @@ fn handle_inner(
         Ok(response) => response,
         Err(err) => error_response(state, &err),
     };
-    let elapsed = started.elapsed();
     if let Some(kind) = kind {
         let outcome = ReqOutcome::classify(&response);
-        state.telemetry.record(kind, outcome, elapsed);
-        state
-            .telemetry
-            .note_slow(&id, batch_parent, KIND_NAMES[kind], outcome, elapsed);
-        if let Some(span) = &mut span {
-            span.attr("outcome", outcome.label());
-            span.attr("id", id.clone());
-        }
-    }
-    if let (Some(span), Some(sink)) = (span, state.telemetry.span_sink()) {
-        span.finish(sink);
+        telemetry.close_request(kind, outcome, &id, started.elapsed(), span);
     }
     if let Json::Obj(map) = &mut response {
         map.insert("id".to_owned(), Json::str(id));
@@ -320,7 +274,7 @@ fn handle_inner(
 
 /// Renders `err` as a response, counting it.
 pub fn error_response(state: &ServerState, err: &ServiceError) -> Json {
-    state.counters.errors.fetch_add(1, Ordering::Relaxed);
+    state.telemetry.errors.fetch_add(1, Ordering::Relaxed);
     err.to_response()
 }
 
@@ -693,26 +647,15 @@ fn certify_response(
 }
 
 fn metrics_response(state: &ServerState) -> Json {
-    let counters = &state.counters;
+    let counter = |c: &AtomicU64| Json::num(c.load(Ordering::Relaxed) as f64);
+    let telemetry = &state.telemetry;
     Json::obj([
         ("ok", Json::Bool(true)),
         ("kind", Json::str("metrics")),
-        (
-            "requests",
-            Json::num(counters.requests.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "monitoring",
-            Json::num(counters.monitoring.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "errors",
-            Json::num(counters.errors.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "overloaded",
-            Json::num(counters.overloaded.load(Ordering::Relaxed) as f64),
-        ),
+        ("requests", counter(&telemetry.requests)),
+        ("monitoring", counter(&telemetry.monitoring)),
+        ("errors", counter(&telemetry.errors)),
+        ("overloaded", counter(&telemetry.overloaded)),
         ("cache", Json::Raw(state.cache.stats().to_json())),
         ("telemetry", state.telemetry.to_json()),
     ])
@@ -822,7 +765,7 @@ mod tests {
                 .and_then(Json::as_str),
             Some("unknown-model")
         );
-        assert_eq!(state.counters.errors.load(Ordering::Relaxed), 2);
+        assert_eq!(state.telemetry.errors.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -1057,7 +1000,14 @@ mod tests {
         let a = first.get("id").and_then(Json::as_str).unwrap();
         let b = second.get("id").and_then(Json::as_str).unwrap();
         assert_ne!(a, b);
-        let echoed = handle_traced(&state, &req, Some("client-77"));
+        let echoed = handle_envelope(
+            &state,
+            &Envelope {
+                id: Some("client-77".to_owned()),
+                request: req,
+                trace: None,
+            },
+        );
         assert_eq!(echoed.get("id").and_then(Json::as_str), Some("client-77"));
         // One miss then two hits, all in the enumerate histograms.
         let k = &state.telemetry.kinds[0];

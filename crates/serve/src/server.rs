@@ -54,7 +54,9 @@ pub struct ServerConfig {
     /// When set, bind a plain-HTTP listener on this address serving the
     /// Prometheus exposition (`GET /metrics`).
     pub prom_addr: Option<String>,
-    /// When set, append slow-query JSONL records to this file.
+    /// When set, append the span record of every request at or over
+    /// `slow_threshold` to this file — the trace log's `server`/`sub`
+    /// spans filtered by duration.
     pub slow_log: Option<PathBuf>,
     /// Requests at or over this duration are logged as slow.
     pub slow_threshold: Duration,

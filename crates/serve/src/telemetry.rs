@@ -1,15 +1,20 @@
-//! Server-side telemetry: per-request-kind latency histograms (split by
-//! cache hit / miss / overbudget), monitoring-request accounting, a
-//! queue-depth gauge, aggregated enumeration counters, a slow-query
-//! JSONL log, and the Prometheus text exposition.
+//! Server-side telemetry: request counters, per-request-kind latency
+//! histograms (split by cache hit / miss / overbudget), a queue-depth
+//! gauge, aggregated enumeration counters, the request-span sinks, and
+//! the Prometheus text exposition.
+//!
+//! The request span is the one event record: every latency-tracked
+//! request closes through [`Telemetry::close_request`], which feeds the
+//! histograms, the slow-query counters, the trace log and the slow log
+//! (the trace log's `server`/`sub` spans filtered by duration) from one
+//! elapsed time.
 //!
 //! Built from the [`samm_core::telemetry`] primitives; everything here
-//! is lock-free on the request path (one histogram `record` plus a few
-//! relaxed counter increments per request). The exposition is rendered
-//! on demand by [`Telemetry::render_prom`] and validated end to end by
-//! [`samm_core::telemetry::prom::check`] in CI.
+//! is lock-free on the untraced request path (one histogram `record`
+//! plus a few relaxed counter increments per request). The exposition
+//! is rendered on demand by [`Telemetry::render_prom`] and validated
+//! end to end by [`samm_core::telemetry::prom::check`] in CI.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -17,10 +22,9 @@ use std::time::{Duration, Instant};
 use samm_core::cache::{CacheStats, ShardStats};
 use samm_core::enumerate::EnumStats;
 use samm_core::obs::Obs;
-use samm_core::telemetry::trace::SpanSink;
+use samm_core::telemetry::trace::{ActiveSpan, SpanSink};
 use samm_core::telemetry::{
-    jsonl_event, EventSink, FieldValue, Histogram, HistogramSnapshot, JsonlLog, RateCounter,
-    RequestIdGen, LATENCY_LE_NANOS,
+    Histogram, HistogramSnapshot, RateCounter, RequestIdGen, LATENCY_LE_NANOS,
 };
 
 use crate::json::Json;
@@ -138,28 +142,27 @@ impl KindTelemetry {
     }
 }
 
-/// Slow-query logging configuration and state.
-#[derive(Debug)]
-pub struct SlowLog {
-    /// Requests at or above this duration are logged.
-    pub threshold: Duration,
-    /// The JSONL sink (rotating file in production, memory in tests).
-    pub sink: Box<dyn EventSink>,
-}
-
 /// The server's aggregate telemetry. One instance lives in
 /// `ServerState` and is shared by every worker.
 #[derive(Debug)]
 pub struct Telemetry {
-    /// Server start, for uptime and event timestamps.
+    /// Server start, for uptime.
     pub started: Instant,
     /// Generator for server-assigned request ids.
     pub ids: RequestIdGen,
     /// Per-kind latency histograms and counters ([`KIND_NAMES`] order).
     pub kinds: [KindTelemetry; 6],
+    /// Service request lines parsed and executed (including ones that
+    /// failed), counted once per line — batch slots and monitoring
+    /// requests are not counted here.
+    pub requests: AtomicU64,
     /// Monitoring requests (`metrics` / `metrics_prom`) — reported
     /// separately so self-observation does not skew `requests`.
     pub monitoring: AtomicU64,
+    /// Requests answered with a structured error.
+    pub errors: AtomicU64,
+    /// Connections rejected at the `max_connections` limit.
+    pub overloaded: AtomicU64,
     /// Completed-request rate window (non-monitoring).
     pub rate: RateCounter,
     /// Parsed request lines waiting for a handler worker.
@@ -176,7 +179,8 @@ pub struct Telemetry {
     /// Delay-set robustness verdicts answered by `certify` requests
     /// carrying `robust:true`, in [`ROBUST_VERDICT_NAMES`] order.
     pub robust_verdicts: [AtomicU64; 3],
-    /// Requests logged as slow.
+    /// Requests at or over the slow threshold (counted only while a
+    /// slow log is configured).
     pub slow_total: AtomicU64,
     /// Request id of the most recent slow query (exposed as an info
     /// metric so dashboards can link the exposition to the JSONL log).
@@ -188,12 +192,17 @@ pub struct Telemetry {
     pub singleflight_waits: AtomicU64,
     /// Per-event-loop gauges, registered by the event-loop core.
     pub loops: Mutex<Vec<Arc<LoopGauges>>>,
-    /// Slow-query log, when configured.
-    pub slow: Option<SlowLog>,
-    /// Span sink for distributed tracing, when configured (`--trace-log`).
-    /// `None` keeps the request path span-free unless a client sends a
-    /// `trace` context (ids still propagate then, unrecorded).
+    /// Span sink for distributed tracing, when configured (`--trace-log`):
+    /// every finished span. With neither sink set the request path is
+    /// span-free unless a client sends a `trace` context (ids still
+    /// propagate then, unrecorded).
     pub spans: Option<Box<dyn SpanSink>>,
+    /// Slow-query span sink, when configured (`--slow-log`): the
+    /// `server`/`sub` span of every request at or over
+    /// [`Telemetry::slow_threshold`].
+    pub slow: Option<Box<dyn SpanSink>>,
+    /// Duration at or over which a request counts as slow (`--slow-ms`).
+    pub slow_threshold: Duration,
 }
 
 /// Live gauges for one event loop, updated by the loop thread and read
@@ -208,18 +217,21 @@ pub struct LoopGauges {
 
 impl Default for Telemetry {
     fn default() -> Self {
-        Telemetry::new(None)
+        Telemetry::new()
     }
 }
 
 impl Telemetry {
-    /// Telemetry with an optional slow-query log.
-    pub fn new(slow: Option<SlowLog>) -> Self {
+    /// Zeroed telemetry with no span sinks.
+    pub fn new() -> Self {
         Telemetry {
             started: Instant::now(),
             ids: RequestIdGen::new("r"),
             kinds: Default::default(),
+            requests: AtomicU64::new(0),
             monitoring: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+            overloaded: AtomicU64::new(0),
             rate: RateCounter::new(),
             queue_depth: AtomicU64::new(0),
             obs_agg: Obs::new(),
@@ -232,12 +244,13 @@ impl Telemetry {
             batch_sizes: Histogram::default(),
             singleflight_waits: AtomicU64::new(0),
             loops: Mutex::new(Vec::new()),
-            slow,
             spans: None,
+            slow: None,
+            slow_threshold: Duration::ZERO,
         }
     }
 
-    /// The span sink, when tracing is configured.
+    /// The trace-log sink, when tracing is configured.
     pub fn span_sink(&self) -> Option<&dyn SpanSink> {
         self.spans.as_deref()
     }
@@ -251,23 +264,6 @@ impl Telemetry {
             .expect("loop gauges poisoned")
             .push(Arc::clone(&gauges));
         gauges
-    }
-
-    /// Opens a rotating slow-query JSONL log at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the failure to open the file.
-    pub fn with_slow_log(
-        path: PathBuf,
-        threshold: Duration,
-        max_bytes: u64,
-    ) -> std::io::Result<Telemetry> {
-        let log = JsonlLog::open(path, max_bytes)?;
-        Ok(Telemetry::new(Some(SlowLog {
-            threshold,
-            sink: Box::new(log),
-        })))
     }
 
     /// Records one completed latency-tracked request.
@@ -284,39 +280,41 @@ impl Telemetry {
         self.rate.record();
     }
 
-    /// Logs a slow query (when configured and `elapsed` is at or over
-    /// the threshold) and remembers its id. `batch_parent` is the id of
-    /// the enclosing `batch` envelope for sub-requests, recorded as the
-    /// `batch` field so a slow slot can be tied back to its envelope.
-    pub fn note_slow(
+    /// Closes one latency-tracked request — the server's one event
+    /// path. `elapsed` feeds the per-kind histogram and the rate window;
+    /// with a slow log configured, a request at or over the threshold is
+    /// counted and its `id` remembered. The request's span, when one was
+    /// opened, is finished with the same `elapsed` and handed to the
+    /// trace log and, when slow, to the slow log.
+    pub fn close_request(
         &self,
-        id: &str,
-        batch_parent: Option<&str>,
-        kind: &str,
+        kind: usize,
         outcome: ReqOutcome,
+        id: &str,
         elapsed: Duration,
+        span: Option<ActiveSpan>,
     ) {
-        let Some(slow) = &self.slow else { return };
-        if elapsed < slow.threshold {
-            return;
+        self.record(kind, outcome, elapsed);
+        let slow = self
+            .slow
+            .as_deref()
+            .filter(|_| elapsed >= self.slow_threshold);
+        if slow.is_some() {
+            self.slow_total.fetch_add(1, Ordering::Relaxed);
+            *self.last_slow_id.lock().expect("slow id poisoned") = Some(id.to_owned());
         }
-        self.slow_total.fetch_add(1, Ordering::Relaxed);
-        *self.last_slow_id.lock().expect("slow id poisoned") = Some(id.to_owned());
-        let mut fields = vec![
-            (
-                "uptime_ms",
-                FieldValue::U64(self.started.elapsed().as_millis() as u64),
-            ),
-            ("id", FieldValue::Str(id)),
-            ("kind", FieldValue::Str(kind)),
-            ("outcome", FieldValue::Str(outcome.label())),
-            ("ns", FieldValue::U64(elapsed.as_nanos() as u64)),
-            ("ms", FieldValue::F64(elapsed.as_secs_f64() * 1e3)),
-        ];
-        if let Some(parent) = batch_parent {
-            fields.push(("batch", FieldValue::Str(parent)));
+        let Some(mut span) = span else { return };
+        span.attr("outcome", outcome.label());
+        span.attr("id", id.to_owned());
+        let record = span.into_timed_record(elapsed);
+        match (self.span_sink(), slow) {
+            (Some(trace), Some(slow)) => {
+                slow.record_span(record.clone());
+                trace.record_span(record);
+            }
+            (Some(sink), None) | (None, Some(sink)) => sink.record_span(record),
+            (None, None) => {}
         }
-        slow.sink.emit(&jsonl_event(&fields));
     }
 
     /// Tallies one delay-set robustness verdict (by its
@@ -436,16 +434,11 @@ impl Telemetry {
         ])
     }
 
-    /// Renders the full Prometheus text exposition. `overloaded` is the
-    /// connection-limit rejection counter; `cache` the enumeration
-    /// cache's global stats and `shards` its per-shard breakdown.
-    /// Per-loop gauges are omitted until an event loop registers.
-    pub fn render_prom(
-        &self,
-        overloaded: u64,
-        cache: &CacheStats,
-        shards: &[ShardStats],
-    ) -> String {
+    /// Renders the full Prometheus text exposition. `cache` is the
+    /// enumeration cache's global stats and `shards` its per-shard
+    /// breakdown. Per-loop gauges are omitted until an event loop
+    /// registers.
+    pub fn render_prom(&self, cache: &CacheStats, shards: &[ShardStats]) -> String {
         use samm_core::telemetry::prom::PromText;
         let mut prom = PromText::new();
 
@@ -477,7 +470,7 @@ impl Telemetry {
         prom.counter(
             "samm_overloaded_total",
             "Connections rejected at the max_connections limit.",
-            &[(&[], overloaded as f64)],
+            &[(&[], self.overloaded.load(Ordering::Relaxed) as f64)],
         );
         prom.gauge(
             "samm_queue_depth",
@@ -705,7 +698,7 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use samm_core::telemetry::{prom, MemorySink};
+    use samm_core::telemetry::prom;
 
     #[test]
     fn classify_reads_responses() {
@@ -753,7 +746,8 @@ mod tests {
                 misses: 3,
             },
         ];
-        let text = telemetry.render_prom(7, &CacheStats::default(), &shards);
+        telemetry.overloaded.fetch_add(7, Ordering::Relaxed);
+        let text = telemetry.render_prom(&CacheStats::default(), &shards);
         let summary = prom::check(&text).expect("valid exposition");
         for family in [
             "samm_requests_total",
@@ -783,44 +777,6 @@ mod tests {
         assert!(text.contains("samm_batch_size_count 1"));
         assert!(text.contains("samm_robust_verdicts_total{verdict=\"robust\"} 2"));
         assert!(text.contains("samm_robust_verdicts_total{verdict=\"cycle\"} 1"));
-    }
-
-    #[test]
-    fn slow_log_records_the_batch_parent() {
-        let sink = std::sync::Arc::new(MemorySink::new());
-        let telemetry = Telemetry::new(Some(SlowLog {
-            threshold: Duration::from_nanos(1),
-            sink: Box::new(SharedSink(std::sync::Arc::clone(&sink))),
-        }));
-        telemetry.note_slow(
-            "b1.3",
-            Some("b1"),
-            "enumerate",
-            ReqOutcome::Miss,
-            Duration::from_millis(5),
-        );
-        telemetry.note_slow(
-            "r9",
-            None,
-            "verdict",
-            ReqOutcome::Miss,
-            Duration::from_millis(5),
-        );
-        let lines = sink.lines();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"id\":\"b1.3\""));
-        assert!(lines[0].contains("\"batch\":\"b1\""));
-        assert!(!lines[1].contains("\"batch\""));
-    }
-
-    /// Forwards to a shared [`MemorySink`] so the test keeps a reader.
-    #[derive(Debug)]
-    struct SharedSink(std::sync::Arc<MemorySink>);
-
-    impl EventSink for SharedSink {
-        fn emit(&self, line: &str) {
-            self.0.emit(line);
-        }
     }
 
     #[test]

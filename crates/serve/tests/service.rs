@@ -257,7 +257,7 @@ fn docs_metric_table_matches_the_prom_exposition() {
     // Populate every conditionally-emitted series: latency samples,
     // the batch histogram, single-flight waits, an event-loop gauge,
     // and shard stats.
-    let telemetry = Telemetry::new(None);
+    let telemetry = Telemetry::new();
     telemetry.record(0, ReqOutcome::Miss, Duration::from_millis(3));
     telemetry.batch_sizes.record(4);
     telemetry.singleflight_waits.fetch_add(1, Ordering::Relaxed);
@@ -267,7 +267,8 @@ fn docs_metric_table_matches_the_prom_exposition() {
         hits: 2,
         misses: 3,
     }];
-    let text = telemetry.render_prom(1, &CacheStats::default(), &shards);
+    telemetry.overloaded.fetch_add(1, Ordering::Relaxed);
+    let text = telemetry.render_prom(&CacheStats::default(), &shards);
     let summary = prom::check(&text).expect("exposition must validate");
     let exposed: BTreeSet<String> = summary.families.iter().cloned().collect();
 

@@ -173,17 +173,10 @@ fn overhead_pieces() {
     for _ in 0..n {
         state
             .telemetry
-            .record(0, ReqOutcome::Hit, Duration::from_micros(20));
-        state.telemetry.note_slow(
-            "r1",
-            None,
-            "enumerate",
-            ReqOutcome::Hit,
-            Duration::from_micros(20),
-        );
+            .close_request(0, ReqOutcome::Hit, "r1", Duration::from_micros(20), None);
     }
     println!(
-        "record+slow:    {:.2}us",
+        "close_request:  {:.2}us",
         t.elapsed().as_secs_f64() * 1e6 / n as f64
     );
 

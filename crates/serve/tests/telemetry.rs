@@ -1,12 +1,15 @@
 //! End-to-end telemetry tests over real sockets: a client-sent request
-//! id must round-trip into the response, the slow-query JSONL log, and
+//! id must round-trip into the response, the slow-query span log, and
 //! the Prometheus exposition — and the `--prom-addr` plain-HTTP
-//! listener must serve a checker-clean exposition.
+//! listener must serve a checker-clean exposition. The slow log is the
+//! span log filtered by duration: batch slots link to their envelope
+//! by span parentage, and every slow record is also a trace record.
 
 #![cfg(unix)]
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use samm_core::telemetry::prom;
@@ -18,6 +21,27 @@ const TIMEOUT: Duration = Duration::from_secs(10);
 
 fn ok(response: &Json) -> bool {
     response.get("ok").and_then(Json::as_bool) == Some(true)
+}
+
+/// A fresh scratch directory for one test.
+fn scratch_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("samm-{test}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Every line of a span log, parsed.
+fn read_spans(path: &Path) -> Vec<Json> {
+    std::fs::read_to_string(path)
+        .unwrap()
+        .lines()
+        .map(|l| samm_serve::json::parse(l).unwrap_or_else(|e| panic!("{e}: {l}")))
+        .collect()
+}
+
+fn field<'a>(span: &'a Json, key: &str) -> &'a str {
+    span.get(key).and_then(Json::as_str).unwrap_or("")
 }
 
 fn scrape(addr: std::net::SocketAddr, target: &str) -> (String, String) {
@@ -79,7 +103,9 @@ fn request_ids_round_trip_into_response_slow_log_and_exposition() {
         .lines()
         .find(|l| l.contains("\"id\":\"client-77\""))
         .unwrap_or_else(|| panic!("slow log must carry the client id:\n{log}"));
-    assert!(tagged_line.contains("\"kind\":\"enumerate\""));
+    assert!(tagged_line.contains("\"req\":\"enumerate\""));
+    assert!(tagged_line.contains("\"name\":\"server\""));
+    assert!(tagged_line.contains("\"dur_ns\":"));
     assert!(tagged_line.contains("\"outcome\":\"miss\""));
 
     // The HTTP exposition is checker-clean and names the last slow
@@ -156,4 +182,135 @@ fn monitoring_traffic_never_reaches_the_request_histograms() {
         panic!("kinds must be an object");
     }
     handle.shutdown().unwrap();
+}
+
+/// At threshold zero a batch logs its envelope's `server` span and one
+/// `sub` span per slot; each slot names the envelope span as its
+/// `parent` and carries its derived `<batch>.<slot>` id.
+#[test]
+fn slow_batch_slots_link_to_their_envelope_span() {
+    let dir = scratch_dir("slow-batch");
+    let slow_path = dir.join("slow.jsonl");
+    let handle = start(ServerConfig {
+        workers: 1,
+        read_timeout: Duration::from_secs(5),
+        slow_log: Some(slow_path.clone()),
+        slow_threshold: Duration::ZERO,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
+    let batch = client
+        .request_raw(
+            r#"{"kind":"batch","id":"b7","requests":[{"kind":"enumerate","test":"SB","model":"TSO"},{"kind":"enumerate","test":"MP","model":"SC"},{"kind":"metrics"}]}"#,
+        )
+        .unwrap();
+    assert!(ok(&batch), "{batch}");
+    let wire = client.request_raw(r#"{"kind":"metrics_prom"}"#).unwrap();
+    let exposition = wire.get("text").and_then(Json::as_str).unwrap().to_owned();
+    handle.shutdown().unwrap();
+
+    let spans = read_spans(&slow_path);
+    let envelope = spans
+        .iter()
+        .find(|s| field(s, "name") == "server" && field(s, "id") == "b7")
+        .unwrap_or_else(|| panic!("the batch's server span is logged: {spans:?}"));
+    assert_eq!(field(envelope, "req"), "batch");
+    // The span and the latency histogram record one elapsed time.
+    let dur_ns = envelope.get("dur_ns").and_then(Json::as_u64).unwrap();
+    let sum = format!(
+        "samm_request_latency_seconds_sum{{kind=\"batch\",outcome=\"miss\"}} {}\n",
+        dur_ns as f64 / 1e9
+    );
+    assert!(exposition.contains(&sum), "{sum}{exposition}");
+    let subs: Vec<&Json> = spans.iter().filter(|s| field(s, "name") == "sub").collect();
+    // The monitoring slot is never spanned.
+    assert_eq!(subs.len(), 2, "{spans:?}");
+    for (slot, sub) in subs.iter().enumerate() {
+        assert_eq!(field(sub, "parent"), field(envelope, "span"), "{sub}");
+        assert_eq!(field(sub, "trace"), field(envelope, "trace"), "{sub}");
+        assert_eq!(field(sub, "id"), format!("b7.{slot}"), "{sub}");
+        assert_eq!(field(sub, "req"), "enumerate", "{sub}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With both logs configured the slow log is a duration-filtered view
+/// of the trace log: every slow record appears verbatim in the trace
+/// file, and only request spans (`server`/`sub`) reach the slow log.
+#[test]
+fn slow_log_is_a_subset_of_the_trace_log() {
+    let dir = scratch_dir("slow-trace");
+    let (slow_path, trace_path) = (dir.join("slow.jsonl"), dir.join("trace.jsonl"));
+    let handle = start(ServerConfig {
+        workers: 1,
+        read_timeout: Duration::from_secs(5),
+        slow_log: Some(slow_path.clone()),
+        slow_threshold: Duration::ZERO,
+        trace_log: Some(trace_path.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
+    for line in [
+        r#"{"kind":"enumerate","test":"IRIW","model":"Weak"}"#,
+        r#"{"kind":"batch","requests":[{"kind":"enumerate","test":"SB","model":"TSO"}]}"#,
+        r#"{"kind":"verdict","test":"SB"}"#,
+    ] {
+        let response = client.request_raw(line).unwrap();
+        assert!(ok(&response), "{response}");
+    }
+    handle.shutdown().unwrap();
+
+    let trace_body = std::fs::read_to_string(&trace_path).unwrap();
+    let trace_lines: std::collections::BTreeSet<&str> = trace_body.lines().collect();
+    let slow_body = std::fs::read_to_string(&slow_path).unwrap();
+    assert_eq!(slow_body.lines().count(), 4, "{slow_body}");
+    for line in slow_body.lines() {
+        assert!(trace_lines.contains(line), "slow record not traced: {line}");
+    }
+    let slow = read_spans(&slow_path);
+    assert!(slow
+        .iter()
+        .all(|s| matches!(field(s, "name"), "server" | "sub")));
+    let traced = read_spans(&trace_path);
+    assert!(
+        traced.iter().any(|s| field(s, "name") == "enumerate"),
+        "engine spans go to the trace log only: {trace_body}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Nothing reaches the threshold: the slow log stays empty and the
+/// slow counter stays at zero.
+#[test]
+fn fast_requests_leave_the_slow_log_empty() {
+    let dir = scratch_dir("slow-none");
+    let slow_path = dir.join("slow.jsonl");
+    let handle = start(ServerConfig {
+        workers: 1,
+        read_timeout: Duration::from_secs(5),
+        slow_log: Some(slow_path.clone()),
+        slow_threshold: Duration::from_secs(3600),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
+    for line in [
+        r#"{"kind":"enumerate","test":"SB","model":"TSO"}"#,
+        r#"{"kind":"batch","requests":[{"kind":"enumerate","test":"MP","model":"SC"}]}"#,
+    ] {
+        let response = client.request_raw(line).unwrap();
+        assert!(ok(&response), "{response}");
+    }
+    let wire = client.request_raw(r#"{"kind":"metrics_prom"}"#).unwrap();
+    let text = wire.get("text").and_then(Json::as_str).unwrap();
+    assert!(text.contains("\nsamm_slow_queries_total 0\n"), "{text}");
+    assert!(
+        text.contains("samm_slow_last_request_info{id=\"\"} 1"),
+        "{text}"
+    );
+    handle.shutdown().unwrap();
+    assert_eq!(std::fs::read_to_string(&slow_path).unwrap(), "");
+    let _ = std::fs::remove_dir_all(&dir);
 }

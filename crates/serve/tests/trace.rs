@@ -7,10 +7,9 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Duration;
 
-use samm_core::telemetry::trace::{ActiveSpan, SpanKind, SpanWriter};
+use samm_core::telemetry::trace::{ActiveSpan, SpanKind};
 use samm_core::telemetry::JsonlLog;
 use samm_serve::client::Client;
 use samm_serve::json::Json;
@@ -88,9 +87,7 @@ fn traced_request_yields_one_linked_trace() {
     // What `samm-load --trace` does: open a client root span, splice
     // its context and a request id into the line, and record the span
     // in the client's own log once the answer is back.
-    let tracer = SpanWriter::new(Arc::new(
-        JsonlLog::open(client_log.clone(), 1024 * 1024).unwrap(),
-    ));
+    let tracer = JsonlLog::open(client_log.clone(), 1024 * 1024).unwrap();
     let mut span = ActiveSpan::root("client", SpanKind::Client);
     span.attr("req", "enumerate");
     let ctx = span.context();
